@@ -4,10 +4,10 @@
 // MarketplaceCellBatch), serial versus the shared thread pool — over a
 // 47-group schema at several dataset sizes. Also isolates marketplace
 // COLUMN evaluation (the unit the delta and sharded paths pay for): the
-// batched engine versus the pre-batch cell-shared MarketplaceCellContext,
-// with an enforced speedup gate (>= 1.5x smoke, >= 2x full) and a bitwise
-// identity cross-check. Writes BENCH_cube_build.json next to the printed
-// tables; any identity miss or gate miss fails the bench.
+// batched engine versus the per-triple reference MarketplaceUnfairness,
+// with an enforced speedup gate (>= 4.66x smoke, >= 7.60x full) and a
+// bitwise identity cross-check. Writes BENCH_cube_build.json next to the
+// printed tables; any identity miss or gate miss fails the bench.
 
 #include <chrono>
 #include <utility>
@@ -120,7 +120,7 @@ SearchDataset MakeSearch(const SizeSpec& size) {
 
 // The seed implementation of BuildMarketplaceCube: one MarketplaceUnfairness
 // call per (group, query, location) triple, serial. Kept as the baseline the
-// cell-shared path is benchmarked against.
+// batched path is benchmarked against.
 UnfairnessCube BuildMarketplaceCubeReference(const MarketplaceDataset& data,
                                              const GroupSpace& space,
                                              MarketMeasure measure) {
@@ -233,7 +233,7 @@ int Main(int argc, char** argv) {
 
   // Pool speedups only materialize with real cores: on a single-CPU host
   // they read ~1.0x (the pool adds no benefit but also ~no overhead) while
-  // the cell-shared speedup is hardware-independent.
+  // the batched speedup is hardware-independent.
   size_t hardware = std::thread::hardware_concurrency();
   std::printf("hardware_concurrency: %zu\n", hardware);
 
@@ -246,10 +246,13 @@ int Main(int argc, char** argv) {
   std::vector<std::vector<std::string>> search_rows;
   bool all_identical = true;
   bool columns_identical = true;
-  // Floors for the batched-vs-context column gate: the one-rep smoke run is
-  // noisier, so its bar is lower; nightly full mode demands the 2x the
-  // batched engine was built to clear.
-  const double min_column_speedup = smoke ? 1.5 : 2.0;
+  // Floors for the batched-vs-reference column gate. They carry over the
+  // earlier floors against the retired cell-shared engine (1.5x smoke, 2x
+  // full), scaled by the largest reference/cell-shared time ratio measured
+  // on these columns (median of 5 runs on a 4-core x86 VM: 3.10 smoke, 3.80
+  // full), so the gate is no looser than it was. The one-rep smoke run is
+  // noisier, so its bar is lower.
+  const double min_column_speedup = smoke ? 4.66 : 7.60;
   double worst_column_speedup = 0.0;
   bool have_column_speedup = false;
 
@@ -283,7 +286,7 @@ int Main(int argc, char** argv) {
     });
 
     // Column-evaluation comparison: every (query, location) of this size,
-    // batched engine vs the pre-batch cell-shared context, both measures.
+    // batched engine vs the per-triple reference, both measures.
     std::vector<std::pair<QueryId, LocationId>> columns;
     for (size_t q = 0; q < size.queries; ++q) {
       for (size_t l = 0; l < size.locations; ++l) {
@@ -309,7 +312,7 @@ int Main(int argc, char** argv) {
       }
       column_rows.push_back({size.name, named.measure,
                              std::to_string(columns.size()),
-                             Fmt(cmp.context_ms), Fmt(cmp.batch_ms),
+                             Fmt(cmp.reference_ms), Fmt(cmp.batch_ms),
                              Fmt(cmp.speedup(), 2) + "x",
                              cmp.identical ? "yes" : "NO"});
     }
@@ -353,10 +356,10 @@ int Main(int argc, char** argv) {
             ", \"speedup_pool_vs_reference\": " + Fmt(ref_ms / pool_ms, 2) +
             ", \"identical_cells\": " + (identical ? "true" : "false") +
             "},\n     \"market_columns\": {" +
-            "\"emd_context_ms\": " + Fmt(emd_cmp.context_ms) +
+            "\"emd_reference_ms\": " + Fmt(emd_cmp.reference_ms) +
             ", \"emd_batched_ms\": " + Fmt(emd_cmp.batch_ms) +
             ", \"emd_speedup\": " + Fmt(emd_cmp.speedup(), 2) +
-            ", \"exposure_context_ms\": " + Fmt(exposure_cmp.context_ms) +
+            ", \"exposure_reference_ms\": " + Fmt(exposure_cmp.reference_ms) +
             ", \"exposure_batched_ms\": " + Fmt(exposure_cmp.batch_ms) +
             ", \"exposure_speedup\": " + Fmt(exposure_cmp.speedup(), 2) +
             ", \"identical_cells\": " +
@@ -390,8 +393,8 @@ int Main(int argc, char** argv) {
   PrintTable({"size", "groups", "cells", "n", "reference ms", "batched ms",
               "pool ms", "batched speedup", "pool speedup", "identical"},
              market_rows);
-  PrintTitle("Marketplace column evaluation: cell-shared context vs batched");
-  PrintTable({"size", "measure", "columns", "context ms", "batched ms",
+  PrintTitle("Marketplace column evaluation: per-triple reference vs batched");
+  PrintTable({"size", "measure", "columns", "reference ms", "batched ms",
               "speedup", "identical"},
              column_rows);
   std::printf("gate: worst batched speedup %.2fx (floor %.2fx) -> %s\n",
@@ -433,8 +436,8 @@ int Main(int argc, char** argv) {
   }
   if (!columns_identical) {
     PrintTitle(
-        "FATAL: batched column engine diverged bitwise from the cell-shared "
-        "context");
+        "FATAL: batched column engine diverged bitwise from the per-triple "
+        "reference");
     return 1;
   }
   if (!column_gate_pass) {

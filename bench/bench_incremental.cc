@@ -5,7 +5,7 @@
 // every cache entry dead). Gates the upsert path's speedup, the bitwise
 // differential contract, the exact C - k cache-survival arithmetic, and —
 // since the delta rebuild now runs on the batched marketplace engine — the
-// batched-vs-context speedup on exactly the columns an upsert recomputes.
+// batched-vs-reference speedup on exactly the columns an upsert recomputes.
 // Writes BENCH_incremental.json.
 
 #include <algorithm>
@@ -300,8 +300,8 @@ int Main(int argc, char** argv) {
   // Batched-engine gate on the delta unit of work: the columns the LAST
   // batch touched, evaluated through the batched engine (what
   // BuildMarketplaceCubeColumns runs inside UpsertCrawlBatch) vs the
-  // pre-batch cell-shared context. Membership is hoisted outside the timer,
-  // matching the maintainer's per-dataset-version table.
+  // per-triple reference. Membership is hoisted outside the timer, matching
+  // the maintainer's per-dataset-version table.
   std::vector<std::pair<QueryId, LocationId>> touched;
   for (const CrawlBatchRow& row : batches[kRounds - 1].rows) {
     touched.emplace_back(row.query, row.location);
@@ -309,9 +309,9 @@ int Main(int argc, char** argv) {
   MarketColumnComparison market_cmp =
       CompareMarketColumnPaths(maintainer.data(), space, MarketMeasure::kEmd,
                                MeasureOptions{}, touched, /*rounds=*/3);
-  std::printf("touched-column engine (%zu cols): context %.2f ms, batched "
+  std::printf("touched-column engine (%zu cols): reference %.2f ms, batched "
               "%.2f ms (%.2fx), identical: %s\n",
-              touched.size(), market_cmp.context_ms, market_cmp.batch_ms,
+              touched.size(), market_cmp.reference_ms, market_cmp.batch_ms,
               market_cmp.speedup(), market_cmp.identical ? "yes" : "NO");
 
   // Instrumented pass: one more batch with metrics on, so the cube.epoch.*
@@ -351,7 +351,7 @@ int Main(int argc, char** argv) {
       ",\n  \"bitwise_identical\": " + (bitwise_identical ? "true" : "false") +
       ",\n  \"market_batch\": {\"columns\": " +
       std::to_string(touched.size()) +
-      ", \"context_ms\": " + Fmt(market_cmp.context_ms, 2) +
+      ", \"reference_ms\": " + Fmt(market_cmp.reference_ms, 2) +
       ", \"batched_ms\": " + Fmt(market_cmp.batch_ms, 2) +
       ", \"speedup\": " + Fmt(market_cmp.speedup(), 2) +
       ", \"identical\": " + (market_cmp.identical ? "true" : "false") +
@@ -400,14 +400,18 @@ int Main(int argc, char** argv) {
     return 1;
   }
   // Batched-engine gates mirror bench_cube_build's: bitwise identity always,
-  // speedup floored lower in the short smoke run.
+  // speedup floored lower in the short smoke run. The floors carry over the
+  // earlier floors against the retired cell-shared engine (1.5x smoke, 2x
+  // full), scaled by the reference/cell-shared time ratio measured on these
+  // columns (median of 5 runs on a 4-core x86 VM: 1.68 smoke, 2.83 full),
+  // so they are no looser.
   if (!market_cmp.identical) {
     PrintTitle(
-        "FATAL: batched column engine diverged bitwise from the cell-shared "
-        "context");
+        "FATAL: batched column engine diverged bitwise from the per-triple "
+        "reference");
     return 1;
   }
-  const double min_batch_speedup = smoke ? 1.5 : 2.0;
+  const double min_batch_speedup = smoke ? 2.52 : 5.66;
   if (market_cmp.speedup() < min_batch_speedup) {
     PrintTitle("FATAL: batched column speedup " +
                Fmt(market_cmp.speedup(), 2) + "x below the " +

@@ -5,8 +5,8 @@
 //    identity cross-checked both ways), and
 //  * the SIMD Jaccard popcount sweep must beat the scalar kernel on
 //    dense-universe cell bitmaps (cube outputs bitwise-identical), and
-//  * the batched marketplace column engine must beat the pre-batch
-//    cell-shared context on production-shaped columns (cells
+//  * the batched marketplace column engine must beat the per-triple
+//    reference MarketplaceUnfairness on production-shaped columns (cells
 //    bitwise-identical).
 // Writes BENCH_scale.json; --smoke runs a CI-sized workload.
 
@@ -40,15 +40,20 @@ struct ScaleBudgets {
   double total_rss_mb;     // peak RSS at exit (includes serve-side cube)
   double binary_speedup;   // binary load vs CSV load floor
   double simd_speedup;     // SIMD vs scalar popcount sweep floor (AVX2 only)
-  double market_batch_speedup;  // batched vs context column-evaluation floor
+  double market_batch_speedup;  // batched vs reference column-evaluation floor
 };
 
 // Full mode is the acceptance workload: 1M workers, 10k queries, Zipf
 // traffic, 119 intersectional groups. Budgets hold on a single-core runner
 // with headroom; the RSS ceilings are the point — the 59.5M-cell tensor
 // (~950 MB as optional<double>) must never materialize during the build.
-constexpr ScaleBudgets kFullBudgets = {900.0, 3072.0, 8192.0, 10.0, 1.5, 2.0};
-constexpr ScaleBudgets kSmokeBudgets = {120.0, 1024.0, 2048.0, 2.0, 1.5, 1.5};
+// The column-engine floors carry over the earlier floors against the
+// retired cell-shared engine (2x full, 1.5x smoke), scaled by the
+// reference/cell-shared time ratio measured on these columns with metrics
+// on (median of 5 runs on a 4-core x86 VM: 2.63 full, 2.68 smoke), so they
+// are no looser.
+constexpr ScaleBudgets kFullBudgets = {900.0, 3072.0, 8192.0, 10.0, 1.5, 5.27};
+constexpr ScaleBudgets kSmokeBudgets = {120.0, 1024.0, 2048.0, 2.0, 1.5, 4.02};
 
 ScaleSpec FullSpec() {
   ScaleSpec spec;
@@ -298,9 +303,9 @@ int Main(int argc, char** argv) {
               sweep.scalar_ms, simd::ActiveKernel(), sweep.simd_ms,
               simd_speedup, sweep.counts_match ? "yes" : "NO");
 
-  // Marketplace batched-vs-context column gate on a slice of the generated
-  // columns: the batched engine (membership hoisted, as the sharded build
-  // above amortizes it) must beat the pre-batch cell-shared context on
+  // Marketplace batched-vs-reference column gate on a slice of the
+  // generated columns: the batched engine (membership hoisted, as the
+  // sharded build above amortizes it) must beat the per-triple reference on
   // production-shaped rankings, with bitwise-identical cells.
   std::vector<std::pair<QueryId, LocationId>> market_columns;
   for (QueryId q = 0; q < static_cast<QueryId>(market.queries().size()) &&
@@ -316,9 +321,9 @@ int Main(int argc, char** argv) {
   MarketColumnComparison market_cmp = CompareMarketColumnPaths(
       market, space, MarketMeasure::kEmd, {}, market_columns,
       /*rounds=*/smoke ? 3 : 5);
-  std::printf("market columns (%zu cols): context %.1f ms, batched %.1f ms "
+  std::printf("market columns (%zu cols): reference %.1f ms, batched %.1f ms "
               "(%.2fx), identical: %s\n",
-              market_columns.size(), market_cmp.context_ms,
+              market_columns.size(), market_cmp.reference_ms,
               market_cmp.batch_ms, market_cmp.speedup(),
               market_cmp.identical ? "yes" : "NO");
 
@@ -464,7 +469,7 @@ int Main(int argc, char** argv) {
       "  \"sweep_speedup\": " + Fmt(simd_speedup, 2) + ",\n" +
       "  \"market_columns\": " + std::to_string(market_columns.size()) +
       ",\n" +
-      "  \"market_context_ms\": " + Fmt(market_cmp.context_ms, 2) + ",\n" +
+      "  \"market_reference_ms\": " + Fmt(market_cmp.reference_ms, 2) + ",\n" +
       "  \"market_batched_ms\": " + Fmt(market_cmp.batch_ms, 2) + ",\n" +
       "  \"market_batch_speedup\": " + Fmt(market_cmp.speedup(), 2) + ",\n" +
       "  \"search_build_scalar_s\": " + Fmt(search_scalar_s, 3) + ",\n" +

@@ -119,17 +119,13 @@ MarketColumnComparison CompareMarketColumnPaths(
   // Hoisted per-dataset-version state, deliberately untimed (see header).
   MarketplaceGroupMembership membership(data, space);
 
-  auto context_pass = [&](std::vector<std::optional<double>>* out) {
+  auto reference_pass = [&](std::vector<std::optional<double>>* out) {
     for (auto [q, l] : columns) {
-      Result<MarketplaceCellContext> context = MarketplaceCellContext::Make(
-          data, space, data.GetRanking(q, l), options);
       for (size_t g = 0; g < num_groups; ++g) {
         std::optional<double> cell;
-        if (context.ok()) {
-          Result<double> v =
-              context->Unfairness(static_cast<GroupId>(g), measure);
-          if (v.ok()) cell = *v;
-        }
+        Result<double> v = MarketplaceUnfairness(
+            data, space, static_cast<GroupId>(g), q, l, measure, options);
+        if (v.ok()) cell = *v;
         if (out != nullptr) out->push_back(cell);
       }
     }
@@ -150,13 +146,13 @@ MarketColumnComparison CompareMarketColumnPaths(
   };
 
   MarketColumnComparison result;
-  std::vector<std::optional<double>> context_cells;
+  std::vector<std::optional<double>> reference_cells;
   std::vector<std::optional<double>> batch_cells;
-  context_pass(&context_cells);
+  reference_pass(&reference_cells);
   batch_pass(&batch_cells);
-  result.identical = context_cells.size() == batch_cells.size();
-  for (size_t i = 0; result.identical && i < context_cells.size(); ++i) {
-    const std::optional<double>& a = context_cells[i];
+  result.identical = reference_cells.size() == batch_cells.size();
+  for (size_t i = 0; result.identical && i < reference_cells.size(); ++i) {
+    const std::optional<double>& a = reference_cells[i];
     const std::optional<double>& b = batch_cells[i];
     if (a.has_value() != b.has_value()) {
       result.identical = false;
@@ -182,7 +178,7 @@ MarketColumnComparison CompareMarketColumnPaths(
     }
     return best;
   };
-  result.context_ms = best_of(context_pass);
+  result.reference_ms = best_of(reference_pass);
   result.batch_ms = best_of(batch_pass);
   return result;
 }

@@ -62,9 +62,9 @@ Result<GoogleBoxes> BuildGoogleBoxes(const GoogleStudyConfig& config = {});
 // --- batched marketplace column comparison -------------------------------------
 
 // Evaluates the given (query, location) columns across the whole group axis
-// through the batched MarketplaceCellBatch engine and through the pre-batch
-// MarketplaceCellContext path, best-of-`rounds` wall clock each. The group
-// membership table is built OUTSIDE the timed region, the way every
+// through the batched MarketplaceCellBatch engine and through the per-triple
+// reference MarketplaceUnfairness, best-of-`rounds` wall clock each. The
+// group membership table is built OUTSIDE the timed region, the way every
 // production builder amortizes it across a dataset version — the comparison
 // isolates per-column evaluation cost, which is what the delta and sharded
 // paths pay per touched column. Also cross-checks that the two paths agree
@@ -72,11 +72,11 @@ Result<GoogleBoxes> BuildGoogleBoxes(const GoogleStudyConfig& config = {});
 // the marketplace-batch speedup gates in bench_cube_build, bench_scale and
 // bench_incremental.
 struct MarketColumnComparison {
-  double context_ms = 0.0;  // cell-shared MarketplaceCellContext path
-  double batch_ms = 0.0;    // batched MarketplaceCellBatch engine
-  bool identical = true;    // bitwise agreement, including missing cells
+  double reference_ms = 0.0;  // per-triple MarketplaceUnfairness
+  double batch_ms = 0.0;      // batched MarketplaceCellBatch engine
+  bool identical = true;      // bitwise agreement, including missing cells
   double speedup() const {
-    return batch_ms > 0.0 ? context_ms / batch_ms : 0.0;
+    return batch_ms > 0.0 ? reference_ms / batch_ms : 0.0;
   }
 };
 MarketColumnComparison CompareMarketColumnPaths(

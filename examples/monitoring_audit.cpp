@@ -5,7 +5,8 @@
 //   2. advances the marketplace one epoch (rankings shift) and re-crawls
 //      only a subset of queries;
 //   3. refreshes exactly those cube columns and inverted lists
-//      (RefreshMarketplaceColumn + IndexSet::RefreshColumn);
+//      (BuildMarketplaceCubeColumns into a CubeMaterializeSink +
+//      IndexSet::RefreshColumn);
 //   4. reports how the top-group ranking moved between epochs, with a
 //      bootstrap CI to separate drift from resampling noise.
 //
@@ -90,7 +91,7 @@ int main() {
   // --- Epoch 1: the market moves; re-crawl one city ---------------------------
   site->SetEpoch(1);
   std::string city = site->Cities()[0];
-  size_t refreshed = 0;
+  std::vector<CubeColumnRef> recrawled;
   LocationId l = OrDie(data.locations().Find(city), "city id");
   size_t l_pos = OrDie(cube.PosOf(Dimension::kLocation, l), "city pos");
   for (const std::string& job : site->JobsIn(city)) {
@@ -110,18 +111,25 @@ int main() {
     }
     QueryId q = OrDie(data.queries().Find(job), "query id");
     if (!data.SetRanking(q, l, std::move(fresh)).ok()) return 1;
-    size_t q_pos = OrDie(cube.PosOf(Dimension::kQuery, q), "query pos");
-    if (!RefreshMarketplaceColumn(data, space, MarketMeasure::kEmd, {}, &cube,
-                                  q_pos, l_pos)
-             .ok()) {
-      return 1;
-    }
-    indices.RefreshColumn(cube, q_pos, l_pos);
-    ++refreshed;
+    recrawled.push_back(
+        {OrDie(cube.PosOf(Dimension::kQuery, q), "query pos"), l_pos});
+  }
+  // Relabel once for the new workers, then recompute only the re-crawled
+  // columns in place and re-sync their inverted lists.
+  MarketplaceGroupMembership membership(data, space);
+  CubeMaterializeSink sink(&cube);
+  if (!BuildMarketplaceCubeColumns(data, space, membership,
+                                   MarketMeasure::kEmd, {}, {}, recrawled,
+                                   /*parallelism=*/1, &sink)
+           .ok()) {
+    return 1;
+  }
+  for (const CubeColumnRef& column : recrawled) {
+    indices.RefreshColumn(cube, column.query_pos, column.location_pos);
   }
   std::printf("\nepoch 1: re-crawled %zu queries in %s, refreshed %zu cube "
               "columns incrementally\n",
-              refreshed, city.c_str(), refreshed);
+              recrawled.size(), city.c_str(), recrawled.size());
 
   QuantificationResult epoch1 = top_group(cube, indices);
   std::printf("epoch 1 top groups:\n");

@@ -221,7 +221,7 @@ Result<MarketplaceCellBatch> MarketplaceCellBatch::Make(
       batch.member_counts_[g] = static_cast<uint32_t>(members);
       if (members == 0) continue;
       // Ascending positions, separate accumulators — the exact term order of
-      // MarketplaceCellContext::Make's interleaved loop.
+      // the per-triple reference's sums.
       double exposure_sum = 0.0;
       double relevance_sum = 0.0;
       for (size_t k = 0; k < members; ++k) {

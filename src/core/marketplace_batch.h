@@ -76,10 +76,10 @@ class MarketplaceGroupMembership {
 };
 
 // Shared per-(query, location) state for evaluating ONE marketplace measure
-// across a whole group axis — the batched successor of
-// MarketplaceCellContext. The context still label-matches every worker
-// against every group per cell and re-derives position bias and histogram
-// bins per group; the batch instead computes, once per cell:
+// across a whole group axis. The per-triple MarketplaceUnfairness
+// label-matches every worker and re-derives position bias and histogram bins
+// for every (group, comparable) pair; the batch instead computes, once per
+// cell:
 //
 //  * a per-position probe arena (membership word index + mask of each ranked
 //    worker), turning group membership into bitmap probes;
@@ -94,14 +94,14 @@ class MarketplaceGroupMembership {
 //    vectors per pair inside Emd1D).
 //
 // Only O(G) state is retained — member counts, exposure/relevance partial
-// sums or renormalized histograms — so a batch is as cheap to keep per
-// column task as the context was.
+// sums or renormalized histograms — so a batch is cheap to keep per column
+// task.
 //
 // Bitwise contract: Unfairness(g) accumulates exactly the same FP terms in
-// the same order as MarketplaceCellContext::Unfairness and
-// MarketplaceUnfairness (integer histogram counts are exact in double, the
-// bias table is filled by the same expression ExposureAtRank evaluates, and
-// all position sweeps run in the reference's ascending order), so results —
+// the same order as MarketplaceUnfairness (integer histogram counts are
+// exact in double, the bias table is filled by the same expression
+// ExposureAtRank evaluates, and all position sweeps run in the reference's
+// ascending order), so results —
 // including the missing-cell pattern and exact NotFound messages — are
 // bit-identical, not approximately equal. Cross-checked in
 // tests/marketplace_batch_test.cc and enforced by bench_cube_build.

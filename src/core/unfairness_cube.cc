@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -152,23 +153,27 @@ Status ParallelFor(size_t n, size_t parallelism,
   return ThreadPool::Shared().ParallelFor(n, parallelism, fn);
 }
 
-// fn(i, j) over [0, n1) × [0, n2), same contract as ParallelFor.
-Status ParallelForPairs(size_t n1, size_t n2, size_t parallelism,
-                        const std::function<Status(size_t, size_t)>& fn) {
-  if (n1 == 0 || n2 == 0) return Status::OK();
-  return ParallelFor(n1 * n2, parallelism,
-                     [&](size_t index) { return fn(index / n2, index % n2); });
-}
-
-Result<CubeAxes> ResolveAxes(const CubeAxes& axes, size_t num_groups,
+// Axis resolution shared by every build: empty vectors default to every
+// group of the space / every query and location of the dataset vocabulary.
+// Group ids index the space's per-group tables in the column kernels, so an
+// id outside the space is rejected here instead of read out of bounds there.
+Result<CubeAxes> ResolveAxes(const CubeAxes& axes, const GroupSpace& space,
                              size_t num_queries, size_t num_locations) {
+  if (num_queries == 0 || num_locations == 0) {
+    return Status::InvalidArgument(
+        "dataset has no queries or no locations to build a cube over");
+  }
+  const size_t num_groups = space.num_groups();
   CubeAxes out = axes;
   if (out.groups.empty()) out.groups = DefaultIds(num_groups);
   if (out.queries.empty()) out.queries = DefaultIds(num_queries);
   if (out.locations.empty()) out.locations = DefaultIds(num_locations);
-  if (num_queries == 0 || num_locations == 0) {
-    return Status::InvalidArgument(
-        "dataset has no queries or no locations to build a cube over");
+  for (GroupId g : out.groups) {
+    if (g < 0 || static_cast<size_t>(g) >= num_groups) {
+      return Status::InvalidArgument("cube group id " + std::to_string(g) +
+                                     " is outside the group space (" +
+                                     std::to_string(num_groups) + " groups)");
+    }
   }
   return out;
 }
@@ -180,7 +185,8 @@ Result<CubeAxes> ResolveAxes(const CubeAxes& axes, size_t num_groups,
 // across the whole group axis. Semantics are bitwise-identical to calling
 // MarketplaceUnfairness per triple (cross-checked in
 // tests/marketplace_batch_test.cc and enforced by bench_cube_build). `out`
-// must be pre-sized to groups.size().
+// must be pre-sized to groups.size(). Serial over the group axis: a
+// column's group loop is cheap next to the columns a build fans out.
 Status EvaluateMarketplaceColumn(const MarketplaceDataset& data,
                                  const GroupSpace& space,
                                  const MarketplaceGroupMembership& membership,
@@ -188,8 +194,7 @@ Status EvaluateMarketplaceColumn(const MarketplaceDataset& data,
                                  const MeasureOptions& options, QueryId q,
                                  LocationId l,
                                  const std::vector<GroupId>& groups,
-                                 std::vector<std::optional<double>>* out,
-                                 size_t parallelism) {
+                                 std::vector<std::optional<double>>* out) {
   // Per-phase observability: batch construction (membership sweeps,
   // histogram scatter, bias/relevance sums) versus per-group evaluation.
   // cube.market.cell_context_us keeps its name across the engine swap so
@@ -222,25 +227,21 @@ Status EvaluateMarketplaceColumn(const MarketplaceDataset& data,
     return batch.status();
   }
   ScopedTimer group_timer(group_eval_us);
-  Status evaluated =
-      ParallelFor(groups.size(), parallelism, [&](size_t g) -> Status {
-        Result<double> v = batch->Unfairness(groups[g]);
-        if (v.ok()) {
-          (*out)[g] = *v;
-        } else if (v.status().code() == StatusCode::kNotFound) {
-          (*out)[g].reset();
-        } else {
-          return v.status();
-        }
-        return Status::OK();
-      });
-  if (evaluated.ok()) {
-    size_t present = 0;
-    for (const auto& cell : *out) present += cell.has_value() ? 1 : 0;
-    cells_present->Add(present);
-    cells_missing->Add(out->size() - present);
+  size_t present = 0;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    Result<double> v = batch->Unfairness(groups[g]);
+    if (v.ok()) {
+      (*out)[g] = *v;
+      ++present;
+    } else if (v.status().code() == StatusCode::kNotFound) {
+      (*out)[g].reset();
+    } else {
+      return v.status();
+    }
   }
-  return evaluated;
+  cells_present->Add(present);
+  cells_missing->Add(out->size() - present);
+  return Status::OK();
 }
 
 // Per-user group membership, hoisted across (query, location) columns:
@@ -454,8 +455,9 @@ Status EvaluateSearchColumn(const SearchDataset& data, const GroupSpace& space,
   return Status::OK();
 }
 
-// Build-level summary gauges shared by the two cube builders: wall-clock of
-// the most recent build and its cell throughput (the "cells/sec" headline).
+// Build-level summary gauges of each family, set by every whole-cube build:
+// wall-clock of the most recent one and its cell throughput (the
+// "cells/sec" headline).
 void RecordBuildSummary(const char* family, double elapsed_us, size_t cells) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   if (!metrics.enabled() || elapsed_us <= 0.0) return;
@@ -465,130 +467,163 @@ void RecordBuildSummary(const char* family, double elapsed_us, size_t cells) {
       ->Set(static_cast<double>(cells) / (elapsed_us / 1e6));
 }
 
-}  // namespace
+// Selects every column of the resolved axes, in row-major (query,
+// location) order, without materializing Q×L refs (a scale cube has 10^5+
+// columns).
+constexpr const std::vector<CubeColumnRef>* kAllColumns = nullptr;
+// Chunk size of the unsharded builds: the whole selection at once.
+constexpr size_t kOneChunk = std::numeric_limits<size_t>::max();
 
-Result<UnfairnessCube> BuildMarketplaceCube(const MarketplaceDataset& data,
-                                            const GroupSpace& space,
-                                            MarketMeasure measure,
-                                            const MeasureOptions& options,
-                                            const CubeAxes& axes,
-                                            size_t parallelism) {
-  TraceSpan span("BuildMarketplaceCube", "cube");
-  auto start = std::chrono::steady_clock::now();
-  FAIRJOB_ASSIGN_OR_RETURN(
-      CubeAxes resolved,
-      ResolveAxes(axes, space.num_groups(), data.queries().size(),
-                  data.locations().size()));
-  FAIRJOB_ASSIGN_OR_RETURN(
-      UnfairnessCube cube,
-      UnfairnessCube::Make(resolved.groups, resolved.queries,
-                           resolved.locations));
-  // Worker group membership depends only on demographics, never on the
-  // (query, location) column, so the label matching is hoisted out of the
-  // column loop and shared read-only across all column tasks — the
-  // marketplace twin of BuildSearchCube's hoist.
-  MarketplaceGroupMembership membership(data, space);
-  Status built = ParallelForPairs(
-      resolved.queries.size(), resolved.locations.size(), parallelism,
-      [&](size_t q, size_t l) -> Status {
-        std::vector<std::optional<double>> column(resolved.groups.size());
-        FAIRJOB_RETURN_IF_ERROR(EvaluateMarketplaceColumn(
-            data, space, membership, measure, options, resolved.queries[q],
-            resolved.locations[l], resolved.groups, &column,
-            /*parallelism=*/1));
-        for (size_t g = 0; g < column.size(); ++g) {
-          if (column[g].has_value()) cube.Set(g, q, l, *column[g]);
-        }
-        return Status::OK();
-      });
-  FAIRJOB_RETURN_IF_ERROR(built);
-  RecordBuildSummary("market",
-                     std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - start)
-                         .count(),
-                     cube.num_cells());
-  return cube;
-}
+// Evaluates column (q, l) over the resolved group axis into `out`, which is
+// pre-sized to the axis (nullopt = undefined triple).
+using ColumnEval = std::function<Status(
+    QueryId, LocationId, std::vector<std::optional<double>>*)>;
 
-namespace {
-
-// Shared frame of the two column-refresh entry points: validates positions,
-// evaluates the column via `eval`, then applies set/clear to the cube.
-Status RefreshColumn(
-    UnfairnessCube* cube, size_t query_pos, size_t location_pos,
-    const std::function<Status(QueryId, LocationId,
-                               const std::vector<GroupId>&,
-                               std::vector<std::optional<double>>*)>& eval) {
-  if (cube == nullptr) return Status::InvalidArgument("null cube");
-  if (query_pos >= cube->axis_size(Dimension::kQuery) ||
-      location_pos >= cube->axis_size(Dimension::kLocation)) {
-    return Status::InvalidArgument("column position out of range");
-  }
-  QueryId q = cube->axis_id(Dimension::kQuery, query_pos);
-  LocationId l = cube->axis_id(Dimension::kLocation, location_pos);
-  std::vector<GroupId> groups(cube->axis_size(Dimension::kGroup));
-  for (size_t g = 0; g < groups.size(); ++g) {
-    groups[g] = cube->axis_id(Dimension::kGroup, g);
-  }
-  std::vector<std::optional<double>> column(groups.size());
-  FAIRJOB_RETURN_IF_ERROR(eval(q, l, groups, &column));
-  for (size_t g = 0; g < column.size(); ++g) {
-    if (column[g].has_value()) {
-      cube->Set(g, query_pos, location_pos, *column[g]);
-    } else {
-      cube->Clear(g, query_pos, location_pos);
+// An explicit column list must lie inside the axes and name each column
+// once: the sink contract is "exactly once", and a repeat would be written
+// twice (concurrently, under parallelism).
+Status ValidateColumns(const std::vector<CubeColumnRef>& columns,
+                       const CubeAxes& resolved) {
+  const size_t num_locations = resolved.locations.size();
+  std::vector<size_t> offsets;
+  offsets.reserve(columns.size());
+  for (const CubeColumnRef& column : columns) {
+    if (column.query_pos >= resolved.queries.size() ||
+        column.location_pos >= num_locations) {
+      return Status::InvalidArgument("cube column position out of range");
     }
+    offsets.push_back(column.query_pos * num_locations + column.location_pos);
+  }
+  std::sort(offsets.begin(), offsets.end());
+  auto repeat = std::adjacent_find(offsets.begin(), offsets.end());
+  if (repeat != offsets.end()) {
+    return Status::InvalidArgument(
+        "cube column (" + std::to_string(*repeat / num_locations) + ", " +
+        std::to_string(*repeat % num_locations) + ") is listed twice");
   }
   return Status::OK();
 }
 
-}  // namespace
+// The one cube build frame. Evaluates the selected columns — `*columns`, or
+// every column when kAllColumns — in chunks of `chunk_columns`, each chunk
+// fanned out on up to `parallelism` threads of the shared pool, and hands
+// every finished column to `sink` exactly once. In flight at any time: one
+// column buffer per thread.
+Status StreamColumns(const CubeAxes& resolved,
+                     const std::vector<CubeColumnRef>* columns,
+                     size_t chunk_columns, size_t parallelism,
+                     CubeColumnSink* sink, const char* family,
+                     const ColumnEval& eval) {
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  static Counter* const columns_streamed =
+      metrics.counter("cube.sharded.columns_streamed");
+  static Counter* const shards_built = metrics.counter("cube.sharded.shards");
+  auto start = std::chrono::steady_clock::now();
 
-Status RefreshMarketplaceColumn(const MarketplaceDataset& data,
-                                const GroupSpace& space, MarketMeasure measure,
+  if (sink == nullptr) {
+    return Status::InvalidArgument("cube build needs a sink");
+  }
+  if (chunk_columns == 0) {
+    return Status::InvalidArgument("shard_columns must be at least 1");
+  }
+  const size_t num_locations = resolved.locations.size();
+  const size_t grid_columns = resolved.queries.size() * num_locations;
+  if (columns != kAllColumns) {
+    FAIRJOB_RETURN_IF_ERROR(ValidateColumns(*columns, resolved));
+  }
+  const size_t total =
+      columns == kAllColumns ? grid_columns : columns->size();
+  for (size_t chunk_start = 0; chunk_start < total;
+       chunk_start += chunk_columns) {
+    size_t chunk_size = std::min(chunk_columns, total - chunk_start);
+    Status built = ParallelFor(
+        chunk_size, parallelism, [&](size_t offset) -> Status {
+          size_t i = chunk_start + offset;
+          CubeColumnRef column =
+              columns == kAllColumns
+                  ? CubeColumnRef{i / num_locations, i % num_locations}
+                  : (*columns)[i];
+          std::vector<std::optional<double>> values(resolved.groups.size());
+          FAIRJOB_RETURN_IF_ERROR(eval(resolved.queries[column.query_pos],
+                                       resolved.locations[column.location_pos],
+                                       &values));
+          FAIRJOB_RETURN_IF_ERROR(sink->Consume(column.query_pos,
+                                                column.location_pos,
+                                                values.data(), values.size()));
+          columns_streamed->Add(1);
+          return Status::OK();
+        });
+    FAIRJOB_RETURN_IF_ERROR(built);
+    shards_built->Add(1);
+  }
+  if (total == grid_columns) {  // a whole-cube build, not a delta
+    RecordBuildSummary(family,
+                       std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - start)
+                           .count(),
+                       grid_columns * resolved.groups.size());
+  }
+  return Status::OK();
+}
+
+// The marketplace family on the frame: batched columns over a caller-built
+// membership table.
+Status StreamMarketplaceColumns(const MarketplaceDataset& data,
+                                const GroupSpace& space,
+                                const MarketplaceGroupMembership& membership,
+                                MarketMeasure measure,
                                 const MeasureOptions& options,
-                                UnfairnessCube* cube, size_t query_pos,
-                                size_t location_pos, size_t parallelism) {
-  MarketplaceGroupMembership membership(data, space);
-  return RefreshColumn(
-      cube, query_pos, location_pos,
-      [&](QueryId q, LocationId l, const std::vector<GroupId>& groups,
-          std::vector<std::optional<double>>* column) {
+                                const CubeAxes& axes,
+                                const std::vector<CubeColumnRef>* columns,
+                                size_t chunk_columns, size_t parallelism,
+                                CubeColumnSink* sink) {
+  FAIRJOB_ASSIGN_OR_RETURN(CubeAxes resolved,
+                           ResolveMarketplaceCubeAxes(data, space, axes));
+  return StreamColumns(
+      resolved, columns, chunk_columns, parallelism, sink, "market",
+      [&](QueryId q, LocationId l, std::vector<std::optional<double>>* out) {
         return EvaluateMarketplaceColumn(data, space, membership, measure,
-                                         options, q, l, groups, column,
-                                         parallelism);
+                                         options, q, l, resolved.groups, out);
       });
 }
 
-Status RefreshSearchColumn(const SearchDataset& data, const GroupSpace& space,
-                           SearchMeasure measure,
-                           const MeasureOptions& options, UnfairnessCube* cube,
-                           size_t query_pos, size_t location_pos,
-                           size_t parallelism) {
+// The search family on the frame. Pairwise list distances dominate a search
+// column, so its distance rows get `parallelism` too (nested on the shared
+// pool): a few large cells no longer serialize a whole build.
+Status StreamSearchColumns(const SearchDataset& data, const GroupSpace& space,
+                           SearchMeasure measure, const MeasureOptions& options,
+                           const CubeAxes& axes,
+                           const std::vector<CubeColumnRef>* columns,
+                           size_t parallelism, CubeColumnSink* sink) {
   if (options.kendall_penalty < 0.0 || options.kendall_penalty > 1.0) {
     return Status::InvalidArgument("kendall_penalty must lie in [0, 1]");
   }
+  FAIRJOB_ASSIGN_OR_RETURN(CubeAxes resolved,
+                           ResolveSearchCubeAxes(data, space, axes));
+  // Membership depends only on user demographics, never on the column, so
+  // the label matching is done once and shared read-only by every column.
   SearchGroupMembership membership(data, space);
-  return RefreshColumn(
-      cube, query_pos, location_pos,
-      [&](QueryId q, LocationId l, const std::vector<GroupId>& groups,
-          std::vector<std::optional<double>>* column) {
+  return StreamColumns(
+      resolved, columns, kOneChunk, parallelism, sink, "search",
+      [&](QueryId q, LocationId l, std::vector<std::optional<double>>* out) {
         return EvaluateSearchColumn(data, space, membership, measure, options,
-                                    q, l, groups, column, parallelism);
+                                    q, l, resolved.groups, out, parallelism);
       });
 }
+
+}  // namespace
 
 Result<CubeAxes> ResolveMarketplaceCubeAxes(const MarketplaceDataset& data,
                                             const GroupSpace& space,
                                             const CubeAxes& axes) {
-  return ResolveAxes(axes, space.num_groups(), data.queries().size(),
+  return ResolveAxes(axes, space, data.queries().size(),
                      data.locations().size());
 }
 
 Result<CubeAxes> ResolveSearchCubeAxes(const SearchDataset& data,
                                        const GroupSpace& space,
                                        const CubeAxes& axes) {
-  return ResolveAxes(axes, space.num_groups(), data.queries().size(),
+  return ResolveAxes(axes, space, data.queries().size(),
                      data.locations().size());
 }
 
@@ -611,144 +646,47 @@ Status CubeMaterializeSink::Consume(size_t query_pos, size_t location_pos,
   return Status::OK();
 }
 
-namespace {
-
-// Shared frame of the two sharded builders: shard loop + column fan-out;
-// `eval` runs the family-specific column evaluation.
-Status BuildCubeSharded(
-    const CubeAxes& resolved, const ShardedBuildOptions& sharded,
-    CubeColumnSink* sink, const char* family,
-    const std::function<Status(QueryId, LocationId,
-                               std::vector<std::optional<double>>*)>& eval) {
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  static Counter* const columns_streamed =
-      metrics.counter("cube.sharded.columns_streamed");
-  static Counter* const shards_built = metrics.counter("cube.sharded.shards");
-  auto start = std::chrono::steady_clock::now();
-
-  if (sink == nullptr) {
-    return Status::InvalidArgument("sharded cube build needs a sink");
-  }
-  if (sharded.shard_columns == 0) {
-    return Status::InvalidArgument("shard_columns must be at least 1");
-  }
-  size_t num_locations = resolved.locations.size();
-  size_t total_columns = resolved.queries.size() * num_locations;
-  for (size_t shard_start = 0; shard_start < total_columns;
-       shard_start += sharded.shard_columns) {
-    size_t shard_size =
-        std::min(sharded.shard_columns, total_columns - shard_start);
-    Status built = ParallelFor(
-        shard_size, sharded.parallelism, [&](size_t offset) -> Status {
-          size_t index = shard_start + offset;
-          size_t q = index / num_locations;
-          size_t l = index % num_locations;
-          std::vector<std::optional<double>> column(resolved.groups.size());
-          FAIRJOB_RETURN_IF_ERROR(
-              eval(resolved.queries[q], resolved.locations[l], &column));
-          FAIRJOB_RETURN_IF_ERROR(
-              sink->Consume(q, l, column.data(), column.size()));
-          columns_streamed->Add(1);
-          return Status::OK();
-        });
-    FAIRJOB_RETURN_IF_ERROR(built);
-    shards_built->Add(1);
-  }
-  RecordBuildSummary(family,
-                     std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - start)
-                         .count(),
-                     total_columns * resolved.groups.size());
-  return Status::OK();
-}
-
-}  // namespace
-
-namespace {
-
-// Shared frame of the two delta builders: validate the column list against
-// the resolved axes, then fan the listed columns out to the sink.
-Status BuildCubeColumns(
-    const CubeAxes& resolved, const std::vector<CubeColumnRef>& columns,
-    size_t parallelism, CubeColumnSink* sink,
-    const std::function<Status(QueryId, LocationId,
-                               std::vector<std::optional<double>>*)>& eval) {
-  if (sink == nullptr) {
-    return Status::InvalidArgument("delta cube build needs a sink");
-  }
-  for (const CubeColumnRef& column : columns) {
-    if (column.query_pos >= resolved.queries.size() ||
-        column.location_pos >= resolved.locations.size()) {
-      return Status::InvalidArgument("delta column position out of range");
-    }
-  }
-  return ParallelFor(columns.size(), parallelism, [&](size_t i) -> Status {
-    const CubeColumnRef& column = columns[i];
-    std::vector<std::optional<double>> values(resolved.groups.size());
-    FAIRJOB_RETURN_IF_ERROR(eval(resolved.queries[column.query_pos],
-                                 resolved.locations[column.location_pos],
-                                 &values));
-    return sink->Consume(column.query_pos, column.location_pos, values.data(),
-                         values.size());
-  });
-}
-
-}  // namespace
-
-Status BuildMarketplaceCubeColumns(const MarketplaceDataset& data,
-                                   const GroupSpace& space,
-                                   const MarketplaceGroupMembership& membership,
-                                   MarketMeasure measure,
-                                   const MeasureOptions& options,
-                                   const CubeAxes& axes,
-                                   const std::vector<CubeColumnRef>& columns,
-                                   size_t parallelism, CubeColumnSink* sink) {
-  TraceSpan span("BuildMarketplaceCubeColumns", "cube");
+Result<UnfairnessCube> BuildMarketplaceCube(const MarketplaceDataset& data,
+                                            const GroupSpace& space,
+                                            MarketMeasure measure,
+                                            const MeasureOptions& options,
+                                            const CubeAxes& axes,
+                                            size_t parallelism) {
+  TraceSpan span("BuildMarketplaceCube", "cube");
   FAIRJOB_ASSIGN_OR_RETURN(CubeAxes resolved,
                            ResolveMarketplaceCubeAxes(data, space, axes));
-  return BuildCubeColumns(
-      resolved, columns, parallelism, sink,
-      [&](QueryId q, LocationId l,
-          std::vector<std::optional<double>>* column) {
-        return EvaluateMarketplaceColumn(data, space, membership, measure,
-                                         options, q, l, resolved.groups,
-                                         column, /*parallelism=*/1);
-      });
-}
-
-Status BuildMarketplaceCubeColumns(const MarketplaceDataset& data,
-                                   const GroupSpace& space,
-                                   MarketMeasure measure,
-                                   const MeasureOptions& options,
-                                   const CubeAxes& axes,
-                                   const std::vector<CubeColumnRef>& columns,
-                                   size_t parallelism, CubeColumnSink* sink) {
+  FAIRJOB_ASSIGN_OR_RETURN(
+      UnfairnessCube cube,
+      UnfairnessCube::Make(resolved.groups, resolved.queries,
+                           resolved.locations));
+  // Worker group membership depends only on demographics, never on the
+  // column: labeled once here, shared read-only by every column task.
   MarketplaceGroupMembership membership(data, space);
-  return BuildMarketplaceCubeColumns(data, space, membership, measure, options,
-                                     axes, columns, parallelism, sink);
+  CubeMaterializeSink sink(&cube);
+  FAIRJOB_RETURN_IF_ERROR(StreamMarketplaceColumns(
+      data, space, membership, measure, options, resolved, kAllColumns,
+      kOneChunk, parallelism, &sink));
+  return cube;
 }
 
-Status BuildSearchCubeColumns(const SearchDataset& data,
-                              const GroupSpace& space, SearchMeasure measure,
-                              const MeasureOptions& options,
-                              const CubeAxes& axes,
-                              const std::vector<CubeColumnRef>& columns,
-                              size_t parallelism, CubeColumnSink* sink) {
-  TraceSpan span("BuildSearchCubeColumns", "cube");
-  if (options.kendall_penalty < 0.0 || options.kendall_penalty > 1.0) {
-    return Status::InvalidArgument("kendall_penalty must lie in [0, 1]");
-  }
+Result<UnfairnessCube> BuildSearchCube(const SearchDataset& data,
+                                       const GroupSpace& space,
+                                       SearchMeasure measure,
+                                       const MeasureOptions& options,
+                                       const CubeAxes& axes,
+                                       size_t parallelism) {
+  TraceSpan span("BuildSearchCube", "cube");
   FAIRJOB_ASSIGN_OR_RETURN(CubeAxes resolved,
                            ResolveSearchCubeAxes(data, space, axes));
-  SearchGroupMembership membership(data, space);
-  return BuildCubeColumns(
-      resolved, columns, parallelism, sink,
-      [&](QueryId q, LocationId l,
-          std::vector<std::optional<double>>* column) {
-        return EvaluateSearchColumn(data, space, membership, measure, options,
-                                    q, l, resolved.groups, column,
-                                    /*parallelism=*/1);
-      });
+  FAIRJOB_ASSIGN_OR_RETURN(
+      UnfairnessCube cube,
+      UnfairnessCube::Make(resolved.groups, resolved.queries,
+                           resolved.locations));
+  CubeMaterializeSink sink(&cube);
+  FAIRJOB_RETURN_IF_ERROR(StreamSearchColumns(data, space, measure, options,
+                                              resolved, kAllColumns,
+                                              parallelism, &sink));
+  return cube;
 }
 
 Status BuildMarketplaceCubeSharded(const MarketplaceDataset& data,
@@ -759,90 +697,34 @@ Status BuildMarketplaceCubeSharded(const MarketplaceDataset& data,
                                    const ShardedBuildOptions& sharded,
                                    CubeColumnSink* sink) {
   TraceSpan span("BuildMarketplaceCubeSharded", "cube");
-  FAIRJOB_ASSIGN_OR_RETURN(CubeAxes resolved,
-                           ResolveMarketplaceCubeAxes(data, space, axes));
   MarketplaceGroupMembership membership(data, space);
-  return BuildCubeSharded(
-      resolved, sharded, sink, "market",
-      [&](QueryId q, LocationId l,
-          std::vector<std::optional<double>>* column) {
-        return EvaluateMarketplaceColumn(data, space, membership, measure,
-                                         options, q, l, resolved.groups,
-                                         column, /*parallelism=*/1);
-      });
+  return StreamMarketplaceColumns(data, space, membership, measure, options,
+                                  axes, kAllColumns, sharded.shard_columns,
+                                  sharded.parallelism, sink);
 }
 
-Status BuildSearchCubeSharded(const SearchDataset& data,
+Status BuildMarketplaceCubeColumns(const MarketplaceDataset& data,
+                                   const GroupSpace& space,
+                                   const MarketplaceGroupMembership& membership,
+                                   MarketMeasure measure,
+                                   const MeasureOptions& options,
+                                   const CubeAxes& axes,
+                                   const std::vector<CubeColumnRef>& columns,
+                                   size_t parallelism, CubeColumnSink* sink) {
+  TraceSpan span("BuildMarketplaceCubeColumns", "cube");
+  return StreamMarketplaceColumns(data, space, membership, measure, options,
+                                  axes, &columns, kOneChunk, parallelism, sink);
+}
+
+Status BuildSearchCubeColumns(const SearchDataset& data,
                               const GroupSpace& space, SearchMeasure measure,
                               const MeasureOptions& options,
                               const CubeAxes& axes,
-                              const ShardedBuildOptions& sharded,
-                              CubeColumnSink* sink) {
-  TraceSpan span("BuildSearchCubeSharded", "cube");
-  if (options.kendall_penalty < 0.0 || options.kendall_penalty > 1.0) {
-    return Status::InvalidArgument("kendall_penalty must lie in [0, 1]");
-  }
-  FAIRJOB_ASSIGN_OR_RETURN(CubeAxes resolved,
-                           ResolveSearchCubeAxes(data, space, axes));
-  SearchGroupMembership membership(data, space);
-  return BuildCubeSharded(
-      resolved, sharded, sink, "search",
-      [&](QueryId q, LocationId l,
-          std::vector<std::optional<double>>* column) {
-        return EvaluateSearchColumn(data, space, membership, measure, options,
-                                    q, l, resolved.groups, column,
-                                    sharded.parallelism);
-      });
-}
-
-Result<UnfairnessCube> BuildSearchCube(const SearchDataset& data,
-                                       const GroupSpace& space,
-                                       SearchMeasure measure,
-                                       const MeasureOptions& options,
-                                       const CubeAxes& axes,
-                                       size_t parallelism) {
-  TraceSpan span("BuildSearchCube", "cube");
-  auto start = std::chrono::steady_clock::now();
-  if (options.kendall_penalty < 0.0 || options.kendall_penalty > 1.0) {
-    return Status::InvalidArgument("kendall_penalty must lie in [0, 1]");
-  }
-  FAIRJOB_ASSIGN_OR_RETURN(
-      CubeAxes resolved,
-      ResolveAxes(axes, space.num_groups(), data.queries().size(),
-                  data.locations().size()));
-  FAIRJOB_ASSIGN_OR_RETURN(
-      UnfairnessCube cube,
-      UnfairnessCube::Make(resolved.groups, resolved.queries,
-                           resolved.locations));
-
-  // Group membership depends only on user demographics, never on the
-  // (query, location) column, so the label matching is hoisted out of the
-  // column loop and shared read-only across all column tasks.
-  SearchGroupMembership membership(data, space);
-
-  // Unlike the marketplace path, pairwise list distances dominate here, so
-  // the within-cell rows are parallelized too (nested ParallelFor calls on
-  // the shared pool): a few large (query, location) cells no longer
-  // serialize a whole build.
-  Status built = ParallelForPairs(
-      resolved.queries.size(), resolved.locations.size(), parallelism,
-      [&](size_t q, size_t l) -> Status {
-        std::vector<std::optional<double>> column(resolved.groups.size());
-        FAIRJOB_RETURN_IF_ERROR(EvaluateSearchColumn(
-            data, space, membership, measure, options, resolved.queries[q],
-            resolved.locations[l], resolved.groups, &column, parallelism));
-        for (size_t g = 0; g < column.size(); ++g) {
-          if (column[g].has_value()) cube.Set(g, q, l, *column[g]);
-        }
-        return Status::OK();
-      });
-  FAIRJOB_RETURN_IF_ERROR(built);
-  RecordBuildSummary("search",
-                     std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - start)
-                         .count(),
-                     cube.num_cells());
-  return cube;
+                              const std::vector<CubeColumnRef>& columns,
+                              size_t parallelism, CubeColumnSink* sink) {
+  TraceSpan span("BuildSearchCubeColumns", "cube");
+  return StreamSearchColumns(data, space, measure, options, axes, &columns,
+                             parallelism, sink);
 }
 
 }  // namespace fairjob

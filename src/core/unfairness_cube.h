@@ -111,7 +111,8 @@ struct CubeAxes {
 // The axes a builder would actually use: `axes` with empty vectors defaulted
 // against the dataset/space. Lets a caller size a CubeColumnSink (e.g. a
 // binary cube file header) before starting a sharded build over the same
-// axes. Errors: InvalidArgument when the dataset has no queries/locations.
+// axes. Errors: InvalidArgument when the dataset has no queries/locations or
+// a group id lies outside [0, space.num_groups()).
 Result<CubeAxes> ResolveMarketplaceCubeAxes(const MarketplaceDataset& data,
                                             const GroupSpace& space,
                                             const CubeAxes& axes = {});
@@ -119,7 +120,7 @@ Result<CubeAxes> ResolveSearchCubeAxes(const SearchDataset& data,
                                        const GroupSpace& space,
                                        const CubeAxes& axes = {});
 
-// Receives finished (query, location) columns from a sharded cube build.
+// Receives finished (query, location) columns from a cube build.
 // `values[g]` is the cell for group-axis position g (nullopt = undefined
 // triple); positions index the resolved cube axes. Consume is called from
 // pool threads in no particular column order — implementations must be
@@ -133,9 +134,10 @@ class CubeColumnSink {
 };
 
 // Sink that materializes the streamed columns into a pre-made cube (the
-// cube's axes must equal the build's resolved axes). Lock-free: concurrent
-// columns write disjoint cells. Used for differential testing and for small
-// builds where bounded memory is not a concern.
+// cube's axes must equal the build's resolved axes): defined cells are set,
+// undefined ones cleared. Lock-free: concurrent columns write disjoint
+// cells. The in-memory builders run on it, and a columns build into it is
+// the in-place refresh of those columns after their rankings changed.
 class CubeMaterializeSink final : public CubeColumnSink {
  public:
   explicit CubeMaterializeSink(UnfairnessCube* cube) : cube_(cube) {}
@@ -147,30 +149,21 @@ class CubeMaterializeSink final : public CubeColumnSink {
   UnfairnessCube* cube_;
 };
 
-// Sharded construction: (query, location) columns are partitioned into
-// shards of `shard_columns`; within a shard, columns are evaluated on
-// `parallelism` threads of the shared pool and streamed into the sink as
-// they finish. Peak memory is O(parallelism) column buffers plus whatever
-// the sink holds — the G×Q×L tensor never materializes — so million-user
-// datasets build in bounded RSS with the cube landing on disk (see
-// BinaryCubeColumnWriter in crawl/cube_io.h).
-struct ShardedBuildOptions {
-  size_t shard_columns = 1024;  // columns per shard; bounds in-flight work
-  size_t parallelism = 1;
-};
+// Every builder below runs one frame: resolve the axes, select the columns,
+// fan them out on `parallelism` threads of the shared ThreadPool and stream
+// each finished column into a CubeColumnSink. Columns are evaluated by the
+// batched engines (MarketplaceCellBatch in core/marketplace_batch.h over a
+// hoisted MarketplaceGroupMembership table; ListDistanceBatch in
+// ranking/list_batch.h over a hoisted user-membership table), and every
+// cell is bitwise-identical to MarketplaceUnfairness / SearchUnfairness on
+// the same triple, whatever the parallelism or the sink. A search column's
+// pairwise distance rows also get `parallelism` (nested on the pool);
+// marketplace columns never nest. Per-cell NotFound is expected and absorbed
+// as a missing cell. Errors: InvalidArgument on bad options or axes,
+// including group ids outside the space.
 
-// Evaluates the chosen measure for every (g, q, l) in the axes; undefined
-// triples stay missing. Group membership is hoisted into a per-build
-// MarketplaceGroupMembership table (label matching once per build, not per
-// cell) and per-cell state (worker values, per-group histograms, bias and
-// relevance sums — see MarketplaceCellBatch in core/marketplace_batch.h) is
-// computed once per (query, location) and shared across the whole group
-// axis; results stay bitwise-identical to MarketplaceUnfairness. With
-// `parallelism` > 1, (query, location) columns are evaluated on that many
-// threads of the shared ThreadPool (cells are disjoint, datasets are read
-// only; results are bitwise-identical to the serial build). Errors: only on
-// structurally invalid input (bad options, bad axes) — per-cell NotFound is
-// expected and absorbed.
+// Evaluates the chosen measure for every (g, q, l) in the axes into an
+// in-memory cube; undefined triples stay missing.
 Result<UnfairnessCube> BuildMarketplaceCube(const MarketplaceDataset& data,
                                             const GroupSpace& space,
                                             MarketMeasure measure,
@@ -185,12 +178,20 @@ Result<UnfairnessCube> BuildSearchCube(const SearchDataset& data,
                                        const CubeAxes& axes = {},
                                        size_t parallelism = 1);
 
-// Bounded-memory variants of the two builders (see ShardedBuildOptions).
-// Column values are bitwise-identical to the in-memory builds: the same
-// EvaluateMarketplaceColumn / EvaluateSearchColumn code paths run, only the
-// destination differs. Errors: InvalidArgument on a null sink or bad
-// options/axes, plus whatever the sink's Consume returns (first failure
-// stops the build).
+// Bounded-memory construction: (query, location) columns are evaluated in
+// shards of `shard_columns`, each shard on `parallelism` threads, and
+// streamed into the sink as they finish. Peak memory is O(parallelism)
+// column buffers plus whatever the sink holds — the G×Q×L tensor never
+// materializes — so million-user datasets build in bounded RSS with the
+// cube landing on disk (see BinaryCubeColumnWriter in crawl/cube_io.h).
+struct ShardedBuildOptions {
+  size_t shard_columns = 1024;  // columns per shard; bounds in-flight work
+  size_t parallelism = 1;
+};
+
+// Streams every column of the axes into `sink`. Errors: also
+// InvalidArgument on a null sink or zero shard_columns, plus whatever the
+// sink's Consume returns (the first failure stops the build).
 Status BuildMarketplaceCubeSharded(const MarketplaceDataset& data,
                                    const GroupSpace& space,
                                    MarketMeasure measure,
@@ -198,12 +199,6 @@ Status BuildMarketplaceCubeSharded(const MarketplaceDataset& data,
                                    const CubeAxes& axes,
                                    const ShardedBuildOptions& sharded,
                                    CubeColumnSink* sink);
-Status BuildSearchCubeSharded(const SearchDataset& data,
-                              const GroupSpace& space, SearchMeasure measure,
-                              const MeasureOptions& options,
-                              const CubeAxes& axes,
-                              const ShardedBuildOptions& sharded,
-                              CubeColumnSink* sink);
 
 // One (query, location) column by cube-axis position; the unit of delta
 // recomputation (and of the column epochs above).
@@ -212,26 +207,19 @@ struct CubeColumnRef {
   size_t location_pos = 0;
 };
 
-// Delta builds: evaluate ONLY the listed columns over the resolved axes and
-// stream them through the same CubeColumnSink seam the sharded builders use
-// — the G×Q×L tensor never materializes, and column values are bitwise
-// identical to the full builders' (same EvaluateMarketplaceColumn /
-// EvaluateSearchColumn code paths). Columns are fanned out on up to
-// `parallelism` threads of the shared pool; Consume sees each column exactly
-// once, in no particular order. Errors: InvalidArgument on a null sink, bad
-// axes, or a column position outside the resolved axes.
-Status BuildMarketplaceCubeColumns(const MarketplaceDataset& data,
-                                   const GroupSpace& space,
-                                   MarketMeasure measure,
-                                   const MeasureOptions& options,
-                                   const CubeAxes& axes,
-                                   const std::vector<CubeColumnRef>& columns,
-                                   size_t parallelism, CubeColumnSink* sink);
-// Variant taking a caller-maintained MarketplaceGroupMembership table, the
-// amortization seam for tight delta loops (MarketplaceCubeMaintainer keeps
-// one per dataset version and updates it instead of relabeling every worker
-// per upsert). `membership` must cover every worker the touched rankings
-// list. The parameterless variant above builds a fresh table per call.
+// Delta builds: evaluate exactly the listed columns over the resolved axes
+// and stream them into `sink` (an empty list builds nothing). Consume sees
+// each column once, in no particular order. To refresh columns of an
+// in-memory cube after their rankings changed, pass a CubeMaterializeSink
+// over that cube. Errors: also InvalidArgument on a null sink, a column
+// position outside the resolved axes or a column listed twice, plus
+// whatever Consume returns.
+//
+// The marketplace variant takes a caller-maintained
+// MarketplaceGroupMembership table, the amortization seam for tight delta
+// loops (MarketplaceCubeMaintainer keeps one per dataset version and updates
+// it instead of relabeling every worker per upsert). `membership` must
+// cover every worker the listed columns rank.
 Status BuildMarketplaceCubeColumns(const MarketplaceDataset& data,
                                    const GroupSpace& space,
                                    const MarketplaceGroupMembership& membership,
@@ -246,29 +234,6 @@ Status BuildSearchCubeColumns(const SearchDataset& data,
                               const CubeAxes& axes,
                               const std::vector<CubeColumnRef>& columns,
                               size_t parallelism, CubeColumnSink* sink);
-
-// Incremental maintenance: re-evaluates the group cells of one
-// (query, location) column after its underlying ranking changed (a crawl
-// refresh); triples that became undefined are cleared. Pair with
-// IndexSet::RefreshColumn to keep the inverted lists in sync. Builds one
-// MarketplaceGroupMembership table and shares one MarketplaceCellBatch
-// across the column; with `parallelism` > 1 the group cells are evaluated
-// on the shared ThreadPool (no per-call thread spawns, so tight refresh
-// loops stay cheap).
-// Errors: InvalidArgument on out-of-range positions or bad options.
-Status RefreshMarketplaceColumn(const MarketplaceDataset& data,
-                                const GroupSpace& space, MarketMeasure measure,
-                                const MeasureOptions& options,
-                                UnfairnessCube* cube, size_t query_pos,
-                                size_t location_pos, size_t parallelism = 1);
-
-// Search-side twin of RefreshMarketplaceColumn (e.g. after a study collected
-// new runs for one (term, location)).
-Status RefreshSearchColumn(const SearchDataset& data, const GroupSpace& space,
-                           SearchMeasure measure,
-                           const MeasureOptions& options, UnfairnessCube* cube,
-                           size_t query_pos, size_t location_pos,
-                           size_t parallelism = 1);
 
 }  // namespace fairjob
 

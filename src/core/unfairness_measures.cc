@@ -39,8 +39,7 @@ Status ValidateMarketplaceOptions(const MeasureOptions& options) {
 
 namespace {
 
-// Marketplace kernel metrics, shared by the per-triple reference path and
-// the cell-shared context path so both report into the same series.
+// Marketplace kernel metrics of the per-triple reference path.
 Counter* EmdInvocations() {
   static Counter* const counter =
       MetricsRegistry::Global().counter("measure.emd.invocations");
@@ -256,112 +255,6 @@ Result<double> MarketplaceUnfairness(const MarketplaceDataset& data,
       return MarketplaceEmd(data, space, g, *ranking, options);
     case MarketMeasure::kExposure:
       return MarketplaceExposure(data, space, g, *ranking, options);
-  }
-  return Status::InvalidArgument("unknown marketplace measure");
-}
-
-Result<MarketplaceCellContext> MarketplaceCellContext::Make(
-    const MarketplaceDataset& data, const GroupSpace& space,
-    const MarketRanking* ranking, const MeasureOptions& options) {
-  FAIRJOB_RETURN_IF_ERROR(ValidateMarketplaceOptions(options));
-  if (ranking == nullptr || ranking->workers.empty()) {
-    return Status::NotFound("no ranking observed for this (query, location)");
-  }
-  MarketplaceCellContext ctx;
-  ctx.space_ = &space;
-  ctx.options_ = options;
-  FAIRJOB_ASSIGN_OR_RETURN(ctx.values_, MarketplaceWorkerValues(*ranking, options));
-
-  size_t n = ranking->workers.size();
-  std::vector<const Demographics*> demos(n);
-  for (size_t i = 0; i < n; ++i) {
-    demos[i] = &data.worker_demographics(ranking->workers[i]);
-  }
-
-  size_t num_groups = space.num_groups();
-  ctx.positions_.resize(num_groups);
-  ctx.histograms_.reserve(num_groups);
-  ctx.exposure_sums_.assign(num_groups, 0.0);
-  ctx.relevance_sums_.assign(num_groups, 0.0);
-  for (size_t g = 0; g < num_groups; ++g) {
-    const GroupLabel& label = space.label(static_cast<GroupId>(g));
-    std::vector<size_t>& positions = ctx.positions_[g];
-    for (size_t i = 0; i < n; ++i) {
-      if (label.Matches(*demos[i])) positions.push_back(i);
-    }
-    // The per-group histogram and partial sums accumulate positions in the
-    // same ascending order as the per-triple path, keeping every derived
-    // double bitwise-identical to MarketplaceUnfairness.
-    FAIRJOB_ASSIGN_OR_RETURN(
-        Histogram hist, Histogram::Make(options.histogram_bins, 0.0, 1.0));
-    for (size_t pos : positions) {
-      hist.Add(ctx.values_[pos]);
-      ctx.exposure_sums_[g] += PositionBias(pos, options);
-      ctx.relevance_sums_[g] += ctx.values_[pos];
-    }
-    ctx.histograms_.push_back(std::move(hist));
-  }
-  return ctx;
-}
-
-Result<double> MarketplaceCellContext::Emd(GroupId g) const {
-  const std::vector<size_t>& own = positions(g);
-  if (own.empty()) {
-    return Status::NotFound("group has no members in this ranking");
-  }
-  double sum = 0.0;
-  size_t counted = 0;
-  Counter* const emd_invocations = EmdInvocations();
-  LatencyHistogram* const emd_latency = EmdLatency();
-  for (GroupId other : space_->Comparables(g)) {
-    if (positions(other).empty()) continue;
-    emd_invocations->Add(1);
-    ScopedTimer timer(emd_latency);
-    FAIRJOB_ASSIGN_OR_RETURN(
-        double emd,
-        EmdBetweenHistograms(histograms_[static_cast<size_t>(g)],
-                             histograms_[static_cast<size_t>(other)]));
-    sum += emd;
-    ++counted;
-  }
-  if (counted == 0) {
-    return Status::NotFound("no comparable group has members in this ranking");
-  }
-  return sum / static_cast<double>(counted);
-}
-
-Result<double> MarketplaceCellContext::Exposure(GroupId g) const {
-  const std::vector<size_t>& own = positions(g);
-  if (own.empty()) {
-    return Status::NotFound("group has no members in this ranking");
-  }
-  ExposureInvocations()->Add(1);
-  ScopedTimer timer(ExposureLatency());
-  double own_exp = exposure_sums_[static_cast<size_t>(g)];
-  double own_rel = relevance_sums_[static_cast<size_t>(g)];
-  double exp_denominator = own_exp;
-  double rel_denominator = own_rel;
-  size_t comparable_members = 0;
-  for (GroupId other : space_->Comparables(g)) {
-    comparable_members += positions(other).size();
-    exp_denominator += exposure_sums_[static_cast<size_t>(other)];
-    rel_denominator += relevance_sums_[static_cast<size_t>(other)];
-  }
-  if (comparable_members == 0) {
-    return Status::NotFound("no comparable group has members in this ranking");
-  }
-  double exp_share = own_exp / exp_denominator;
-  double rel_share = rel_denominator > 0.0 ? own_rel / rel_denominator : 0.0;
-  return std::fabs(exp_share - rel_share);
-}
-
-Result<double> MarketplaceCellContext::Unfairness(GroupId g,
-                                                  MarketMeasure measure) const {
-  switch (measure) {
-    case MarketMeasure::kEmd:
-      return Emd(g);
-    case MarketMeasure::kExposure:
-      return Exposure(g);
   }
   return Status::InvalidArgument("unknown marketplace measure");
 }

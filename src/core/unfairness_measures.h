@@ -58,9 +58,8 @@ struct MeasureOptions {
   bool use_scores_if_available = true;
 };
 
-// Option checks shared by every marketplace evaluation path (per-triple
-// reference, cell-shared context, batched engine). Errors: InvalidArgument
-// on malformed options.
+// Option checks shared by both marketplace evaluation paths (per-triple
+// reference, batched engine). Errors: InvalidArgument on malformed options.
 Status ValidateMarketplaceOptions(const MeasureOptions& options);
 
 // Per-worker value the marketplace measures operate on, parallel to
@@ -83,55 +82,6 @@ Result<double> MarketplaceUnfairness(const MarketplaceDataset& data,
                                      QueryId q, LocationId l,
                                      MarketMeasure measure,
                                      const MeasureOptions& options = {});
-
-// Shared per-(query, location) state for evaluating marketplace measures
-// across a whole group axis. MarketplaceUnfairness recomputes worker values,
-// group memberships and histograms from scratch for every (group,
-// comparable) pair — O(G² · n) label matching per cell. Building this
-// context once per cell does that work in O(G · n) (one membership pass
-// evaluating every group label, one histogram and one exposure/relevance
-// partial sum per group) and then derives every group's cell value from the
-// shared state. Unfairness() reproduces MarketplaceUnfairness bitwise: both
-// accumulate the same terms in the same order (cross-checked in tests).
-//
-// The context is immutable after Make and borrows nothing from the dataset,
-// so it may be shared freely across threads.
-class MarketplaceCellContext {
- public:
-  // Precomputes the shared state for one (query, location) ranking.
-  // `ranking` may be the (possibly null) result of
-  // MarketplaceDataset::GetRanking. Errors: InvalidArgument on malformed
-  // options; NotFound when ranking is null or empty (the whole column is
-  // undefined — callers clear the cells).
-  static Result<MarketplaceCellContext> Make(const MarketplaceDataset& data,
-                                             const GroupSpace& space,
-                                             const MarketRanking* ranking,
-                                             const MeasureOptions& options);
-
-  // d<g,q,l> for this cell; bitwise-identical to MarketplaceUnfairness on
-  // the same triple. Errors: NotFound when the triple is undefined (g or
-  // every comparable group has no members in the ranking).
-  Result<double> Unfairness(GroupId g, MarketMeasure measure) const;
-
-  // 0-based ranking positions of group g's members (ascending).
-  const std::vector<size_t>& positions(GroupId g) const {
-    return positions_[static_cast<size_t>(g)];
-  }
-
- private:
-  MarketplaceCellContext() = default;
-
-  Result<double> Emd(GroupId g) const;
-  Result<double> Exposure(GroupId g) const;
-
-  const GroupSpace* space_ = nullptr;
-  MeasureOptions options_;
-  std::vector<double> values_;                  // per-position worker value
-  std::vector<std::vector<size_t>> positions_;  // per-group member positions
-  std::vector<Histogram> histograms_;           // per-group value histogram
-  std::vector<double> exposure_sums_;           // per-group Σ position bias
-  std::vector<double> relevance_sums_;          // per-group Σ worker value
-};
 
 // Distance between two personalized result lists under the chosen search
 // measure (the DIST building block of Eq. 1). Errors: InvalidArgument on

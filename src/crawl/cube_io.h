@@ -151,8 +151,8 @@ class MappedCube {
 };
 
 // Streams a dense binary cube file column-by-column: the CubeColumnSink fed
-// to BuildMarketplaceCubeSharded / BuildSearchCubeSharded when the cube
-// should land on disk instead of in memory. Create sizes the file from the
+// to BuildMarketplaceCubeSharded (or a Build*CubeColumns call) when the
+// cube should land on disk instead of in memory. Create sizes the file from the
 // resolved axes (unstreamed columns stay all-missing); Consume accepts
 // columns from any thread in any order (writes to disjoint offsets);
 // Finish seals the file — presence bitmap, CRC, header — and must be called

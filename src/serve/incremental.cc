@@ -177,11 +177,25 @@ Result<MarketplaceCubeMaintainer> MarketplaceCubeMaintainer::Make(
                            ResolveMarketplaceCubeAxes(data, space, axes));
   FAIRJOB_ASSIGN_OR_RETURN(
       UnfairnessCube cube,
-      BuildMarketplaceCube(data, space, measure, options, resolved,
-                           parallelism));
+      UnfairnessCube::Make(resolved.groups, resolved.queries,
+                           resolved.locations));
   MarketplaceCubeMaintainer maintainer(std::move(data), space, measure,
                                        std::move(options), std::move(resolved),
                                        parallelism);
+  // The cold build is a delta over every column, run on the maintainer's
+  // own membership table: the workers are labeled once, not once for the
+  // build and again for the table.
+  std::vector<CubeColumnRef> all_columns;
+  all_columns.reserve(cube.num_columns());
+  for (size_t q = 0; q < cube.axis_size(Dimension::kQuery); ++q) {
+    for (size_t l = 0; l < cube.axis_size(Dimension::kLocation); ++l) {
+      all_columns.push_back(CubeColumnRef{q, l});
+    }
+  }
+  CubeMaterializeSink sink(&cube);
+  FAIRJOB_RETURN_IF_ERROR(BuildMarketplaceCubeColumns(
+      maintainer.data_, maintainer.space_, maintainer.membership_, measure,
+      maintainer.options_, maintainer.axes_, all_columns, parallelism, &sink));
   maintainer.snapshot_ = CubeSnapshot::Make(std::move(cube));
   return maintainer;
 }

@@ -23,12 +23,11 @@ namespace fairjob {
 //
 // The differential contract: after any sequence of successful upserts, the
 // maintainer's cube is bitwise identical (presence + double bit patterns)
-// to a cold rebuild over the same mutated dataset. The delta path reuses
-// the full builders' per-column evaluation verbatim
-// (BuildMarketplaceCubeColumns / BuildSearchCubeColumns stream through the
-// same CubeColumnSink seam the sharded builders use), so this holds by
-// construction and is asserted by tests/incremental_test.cc and
-// bench_incremental.
+// to a cold rebuild over the same mutated dataset. The delta path runs the
+// full builders' frame on the touched columns only
+// (BuildMarketplaceCubeColumns / BuildSearchCubeColumns, see
+// core/unfairness_cube.h), so this holds by construction and is asserted by
+// tests/incremental_test.cc and bench_incremental.
 //
 // Epoch discipline: a column's epoch is bumped only when its recomputed
 // values actually differ from the served ones — an upsert that rewrites a
@@ -85,7 +84,8 @@ struct UpsertReport {
 class MarketplaceCubeMaintainer {
  public:
   // Cold-builds the initial cube over `axes` (empty = everything in the
-  // dataset) and snapshots it. The dataset is owned from here on: deltas
+  // dataset) and snapshots it; the cube is bitwise-identical to
+  // BuildMarketplaceCube's. The dataset is owned from here on: deltas
   // mutate the maintainer's copy so cube and data can never drift apart.
   // Errors: whatever BuildMarketplaceCube rejects.
   static Result<MarketplaceCubeMaintainer> Make(MarketplaceDataset data,

@@ -466,6 +466,56 @@ TEST(BinaryCubeIoTest, ShardedBuildToFileMatchesInMemoryBuild) {
   std::remove(path.c_str());
 }
 
+// A columns build names each column once. A repeated ref is rejected
+// before any sink sees a column: a file writer would otherwise count the
+// column twice (its header then claims more present cells than exist, and
+// the file cannot be opened), and a materializing sink would have two
+// threads write the same cells.
+TEST(BinaryCubeIoTest, ColumnsBuildRejectsDuplicateColumns) {
+  AttributeSchema schema;
+  ASSERT_TRUE(schema.AddAttribute("gender", {"Male", "Female"}).ok());
+  MarketplaceDataset market(schema);
+  GroupSpace space = *GroupSpace::Enumerate(market.schema());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(market
+                    .AddWorker("w" + std::to_string(i),
+                               {static_cast<ValueId>(i % 2)})
+                    .ok());
+  }
+  for (QueryId q = 0; q < 2; ++q) {
+    market.queries().GetOrAdd("q" + std::to_string(q));
+    for (LocationId l = 0; l < 2; ++l) {
+      market.locations().GetOrAdd("l" + std::to_string(l));
+      MarketRanking r;
+      r.workers = {0, 1, 2, 3};
+      ASSERT_TRUE(market.SetRanking(q, l, std::move(r)).ok());
+    }
+  }
+  CubeAxes axes = *ResolveMarketplaceCubeAxes(market, space);
+  MarketplaceGroupMembership membership(market, space);
+  const std::vector<CubeColumnRef> twice = {{0, 0}, {1, 1}, {0, 0}};
+
+  std::string path = TempPath("duplicate.fjcube");
+  auto writer = BinaryCubeColumnWriter::Create(path, axes);
+  ASSERT_TRUE(writer.ok());
+  EXPECT_EQ(BuildMarketplaceCubeColumns(market, space, membership,
+                                        MarketMeasure::kEmd, {}, axes, twice,
+                                        /*parallelism=*/1, writer->get())
+                .code(),
+            StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+
+  UnfairnessCube cube =
+      *UnfairnessCube::Make(axes.groups, axes.queries, axes.locations);
+  CubeMaterializeSink sink(&cube);
+  EXPECT_EQ(BuildMarketplaceCubeColumns(market, space, membership,
+                                        MarketMeasure::kEmd, {}, axes, twice,
+                                        /*parallelism=*/4, &sink)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(cube.num_present(), 0u);  // rejected before any column ran
+}
+
 TEST(BinaryCubeIoTest, Crc32MatchesKnownCheckValue) {
   // The standard CRC-32 check value: crc32("123456789") == 0xCBF43926. Guards
   // the sliced implementation against table or byte-order regressions, which

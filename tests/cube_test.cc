@@ -117,6 +117,17 @@ class CubeBuilderTest : public ::testing::Test {
     ASSERT_TRUE(data_->SetRanking(q0, l0, std::move(r)).ok());
   }
 
+  // Re-evaluates `columns` of `cube` in place after their rankings changed:
+  // the columns entry streaming into a CubeMaterializeSink over the cube.
+  Status RefreshColumn(UnfairnessCube* cube,
+                       const std::vector<CubeColumnRef>& columns) {
+    MarketplaceGroupMembership membership(*data_, *space_);
+    CubeMaterializeSink sink(cube);
+    return BuildMarketplaceCubeColumns(*data_, *space_, membership,
+                                       MarketMeasure::kEmd, {}, {}, columns,
+                                       /*parallelism=*/1, &sink);
+  }
+
   std::unique_ptr<MarketplaceDataset> data_;
   std::unique_ptr<GroupSpace> space_;
 };
@@ -282,42 +293,71 @@ CrossCheckWorld MakeCrossCheckWorld() {
   return world;
 }
 
-// The tentpole guarantee: the cell-shared fast path (MarketplaceCellContext
-// under BuildMarketplaceCube) must be BITWISE equal to the per-triple
-// reference MarketplaceUnfairness, for both measures, serial and pooled.
-TEST(MarketplaceCellContextTest, CubeMatchesPerTripleReferenceBitwise) {
+// The builder contract: every build entry point is BITWISE equal to the
+// per-triple reference MarketplaceUnfairness, for both measures, serial and
+// pooled — the in-memory cube, the sharded stream and the columns entry
+// all run the one column frame.
+TEST(ParallelBuildTest, MarketplaceCubeMatchesPerTripleReferenceBitwise) {
   CrossCheckWorld world = MakeCrossCheckWorld();
   std::vector<MeasureOptions> option_sets(3);
   option_sets[1].exposure_model = ExposureModel::kPowerLaw;
   option_sets[1].exposure_gamma = 1.5;
   option_sets[1].histogram_bins = 7;
   option_sets[2].use_scores_if_available = false;
+  CubeAxes axes = *ResolveMarketplaceCubeAxes(*world.data, *world.space);
+  MarketplaceGroupMembership membership(*world.data, *world.space);
+  std::vector<CubeColumnRef> all_columns;
+  for (size_t q = 0; q < axes.queries.size(); ++q) {
+    for (size_t l = 0; l < axes.locations.size(); ++l) {
+      all_columns.push_back({q, l});
+    }
+  }
   for (const MeasureOptions& options : option_sets) {
     for (MarketMeasure measure :
          {MarketMeasure::kEmd, MarketMeasure::kExposure}) {
       for (size_t parallelism : {size_t{1}, size_t{4}}) {
-        UnfairnessCube cube = *BuildMarketplaceCube(
+        UnfairnessCube in_memory = *BuildMarketplaceCube(
             *world.data, *world.space, measure, options, {}, parallelism);
-        for (size_t g = 0; g < cube.axis_size(Dimension::kGroup); ++g) {
-          for (size_t q = 0; q < cube.axis_size(Dimension::kQuery); ++q) {
-            for (size_t l = 0; l < cube.axis_size(Dimension::kLocation); ++l) {
+        UnfairnessCube sharded =
+            *UnfairnessCube::Make(axes.groups, axes.queries, axes.locations);
+        CubeMaterializeSink sharded_sink(&sharded);
+        ASSERT_TRUE(BuildMarketplaceCubeSharded(*world.data, *world.space,
+                                                measure, options, axes,
+                                                {3, parallelism},
+                                                &sharded_sink)
+                        .ok());
+        UnfairnessCube columns =
+            *UnfairnessCube::Make(axes.groups, axes.queries, axes.locations);
+        CubeMaterializeSink columns_sink(&columns);
+        ASSERT_TRUE(BuildMarketplaceCubeColumns(
+                        *world.data, *world.space, membership, measure,
+                        options, axes, all_columns, parallelism, &columns_sink)
+                        .ok());
+        for (size_t g = 0; g < in_memory.axis_size(Dimension::kGroup); ++g) {
+          for (size_t q = 0; q < in_memory.axis_size(Dimension::kQuery); ++q) {
+            for (size_t l = 0; l < in_memory.axis_size(Dimension::kLocation);
+                 ++l) {
               Result<double> reference = MarketplaceUnfairness(
                   *world.data, *world.space, static_cast<GroupId>(g),
                   static_cast<QueryId>(q), static_cast<LocationId>(l), measure,
                   options);
-              std::optional<double> cell = cube.Get(g, q, l);
-              if (reference.ok()) {
-                ASSERT_TRUE(cell.has_value())
-                    << MarketMeasureName(measure) << " " << g << " " << q
-                    << " " << l;
-                // EXPECT_EQ, not NEAR: the fast path performs the identical
-                // floating-point operations in the identical order.
-                EXPECT_EQ(*cell, *reference)
-                    << MarketMeasureName(measure) << " " << g << " " << q
-                    << " " << l;
-              } else {
-                EXPECT_EQ(reference.status().code(), StatusCode::kNotFound);
-                EXPECT_FALSE(cell.has_value());
+              for (const UnfairnessCube* cube : {&in_memory, &sharded,
+                                                 &columns}) {
+                std::optional<double> cell = cube->Get(g, q, l);
+                if (reference.ok()) {
+                  ASSERT_TRUE(cell.has_value())
+                      << MarketMeasureName(measure) << " " << g << " " << q
+                      << " " << l;
+                  // EXPECT_EQ, not NEAR: the batched engine performs the
+                  // identical floating-point operations in the identical
+                  // order.
+                  EXPECT_EQ(*cell, *reference)
+                      << MarketMeasureName(measure) << " " << g << " " << q
+                      << " " << l;
+                } else {
+                  EXPECT_EQ(reference.status().code(), StatusCode::kNotFound);
+                  EXPECT_FALSE(cell.has_value());
+                }
               }
             }
           }
@@ -325,46 +365,6 @@ TEST(MarketplaceCellContextTest, CubeMatchesPerTripleReferenceBitwise) {
       }
     }
   }
-}
-
-TEST(MarketplaceCellContextTest, DirectUseMatchesReference) {
-  CrossCheckWorld world = MakeCrossCheckWorld();
-  const MarketRanking* ranking = world.data->GetRanking(0, 0);
-  ASSERT_NE(ranking, nullptr);
-  MarketplaceCellContext ctx =
-      *MarketplaceCellContext::Make(*world.data, *world.space, ranking, {});
-  for (size_t g = 0; g < world.space->num_groups(); ++g) {
-    for (MarketMeasure measure :
-         {MarketMeasure::kEmd, MarketMeasure::kExposure}) {
-      Result<double> fast =
-          ctx.Unfairness(static_cast<GroupId>(g), measure);
-      Result<double> reference =
-          MarketplaceUnfairness(*world.data, *world.space,
-                                static_cast<GroupId>(g), 0, 0, measure, {});
-      ASSERT_EQ(fast.ok(), reference.ok());
-      if (fast.ok()) {
-        EXPECT_EQ(*fast, *reference);
-      } else {
-        EXPECT_EQ(fast.status().code(), reference.status().code());
-      }
-    }
-  }
-}
-
-TEST(MarketplaceCellContextTest, ValidatesInputs) {
-  CrossCheckWorld world = MakeCrossCheckWorld();
-  // Null / empty rankings are NotFound (an undefined column, not an error).
-  Result<MarketplaceCellContext> missing =
-      MarketplaceCellContext::Make(*world.data, *world.space, nullptr, {});
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-  // Malformed options are InvalidArgument, as in the reference path.
-  MeasureOptions bad;
-  bad.histogram_bins = 0;
-  Result<MarketplaceCellContext> invalid = MarketplaceCellContext::Make(
-      *world.data, *world.space, world.data->GetRanking(0, 0), bad);
-  ASSERT_FALSE(invalid.ok());
-  EXPECT_EQ(invalid.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ParallelBuildTest, ParallelMatchesSerialForBothBuilders) {
@@ -526,8 +526,15 @@ TEST(ShardedBuildTest, ShardedMatchesInMemoryForBothBuilders) {
   UnfairnessCube search_streamed = *UnfairnessCube::Make(
       search_axes.groups, search_axes.queries, search_axes.locations);
   CubeMaterializeSink search_sink(&search_streamed);
-  ASSERT_TRUE(BuildSearchCubeSharded(search, space, SearchMeasure::kJaccard,
-                                     {}, search_axes, {3, 2}, &search_sink)
+  std::vector<CubeColumnRef> search_columns;
+  for (size_t q = 0; q < search_axes.queries.size(); ++q) {
+    for (size_t l = 0; l < search_axes.locations.size(); ++l) {
+      search_columns.push_back({q, l});
+    }
+  }
+  ASSERT_TRUE(BuildSearchCubeColumns(search, space, SearchMeasure::kJaccard,
+                                     {}, search_axes, search_columns,
+                                     /*parallelism=*/2, &search_sink)
                   .ok());
   ASSERT_EQ(search_streamed.num_present(), search_full.num_present());
   for (size_t g = 0; g < search_full.axis_size(Dimension::kGroup); ++g) {
@@ -564,6 +571,70 @@ TEST(ShardedBuildTest, RejectsBadArguments) {
             StatusCode::kInvalidArgument);
 }
 
+// Group ids index the space's per-group tables inside the column kernels;
+// an id outside the space must be rejected when the axes are resolved, by
+// every entry point of both families — not read out of bounds.
+TEST(ShardedBuildTest, RejectsOutOfRangeGroupIds) {
+  AttributeSchema schema;
+  ASSERT_TRUE(schema.AddAttribute("gender", {"Male", "Female"}).ok());
+  MarketplaceDataset market(schema);
+  GroupSpace space = *GroupSpace::Enumerate(market.schema());
+  ASSERT_EQ(space.num_groups(), 2u);
+  ASSERT_TRUE(market.AddWorker("m", {0}).ok());
+  ASSERT_TRUE(market.AddWorker("f", {1}).ok());
+  market.queries().GetOrAdd("q0");
+  market.locations().GetOrAdd("l0");
+  MarketRanking r;
+  r.workers = {0, 1};
+  ASSERT_TRUE(market.SetRanking(0, 0, std::move(r)).ok());
+  MarketplaceGroupMembership membership(market, space);
+
+  SearchDataset search(schema);
+  ASSERT_TRUE(search.AddUser("m", {0}).ok());
+  ASSERT_TRUE(search.AddUser("f", {1}).ok());
+  QueryId q = search.queries().GetOrAdd("sq0");
+  LocationId l = search.locations().GetOrAdd("sl0");
+  ASSERT_TRUE(search.AddObservation(q, l, {0, {1, 2, 3}}).ok());
+  ASSERT_TRUE(search.AddObservation(q, l, {1, {3, 4, 5}}).ok());
+
+  for (std::vector<GroupId> groups :
+       {std::vector<GroupId>{0, 100000000}, std::vector<GroupId>{7},
+        std::vector<GroupId>{1, -5}}) {
+    CubeAxes axes;
+    axes.groups = groups;
+    UnfairnessCube cube = *UnfairnessCube::Make({0}, {0}, {0});
+    CubeMaterializeSink sink(&cube);
+    EXPECT_EQ(ResolveMarketplaceCubeAxes(market, space, axes).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(
+        BuildMarketplaceCube(market, space, MarketMeasure::kEmd, {}, axes)
+            .status()
+            .code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(BuildMarketplaceCubeSharded(market, space, MarketMeasure::kEmd,
+                                          {}, axes, {}, &sink)
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(BuildMarketplaceCubeColumns(market, space, membership,
+                                          MarketMeasure::kExposure, {}, axes,
+                                          {{0, 0}}, 1, &sink)
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(ResolveSearchCubeAxes(search, space, axes).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(
+        BuildSearchCube(search, space, SearchMeasure::kJaccard, {}, axes)
+            .status()
+            .code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(BuildSearchCubeColumns(search, space, SearchMeasure::kJaccard,
+                                     {}, axes, {{0, 0}}, 1, &sink)
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(cube.num_present(), 0u);
+  }
+}
+
 TEST_F(CubeBuilderTest, RefreshColumnTracksDatasetChanges) {
   UnfairnessCube cube =
       *BuildMarketplaceCube(*data_, *space_, MarketMeasure::kEmd);
@@ -571,9 +642,7 @@ TEST_F(CubeBuilderTest, RefreshColumnTracksDatasetChanges) {
   MarketRanking fresh;
   fresh.workers = {0, 1, 2, 3};
   ASSERT_TRUE(data_->SetRanking(1, 0, std::move(fresh)).ok());
-  ASSERT_TRUE(RefreshMarketplaceColumn(*data_, *space_, MarketMeasure::kEmd,
-                                       {}, &cube, 1, 0)
-                  .ok());
+  ASSERT_TRUE(RefreshColumn(&cube, {{1, 0}}).ok());
   UnfairnessCube rebuilt =
       *BuildMarketplaceCube(*data_, *space_, MarketMeasure::kEmd);
   ASSERT_EQ(cube.num_present(), rebuilt.num_present());
@@ -596,9 +665,7 @@ TEST_F(CubeBuilderTest, RefreshColumnClearsUndefinedCells) {
   MarketRanking males_only;
   males_only.workers = {0, 1};
   ASSERT_TRUE(data_->SetRanking(0, 0, std::move(males_only)).ok());
-  ASSERT_TRUE(RefreshMarketplaceColumn(*data_, *space_, MarketMeasure::kEmd,
-                                       {}, &cube, 0, 0)
-                  .ok());
+  ASSERT_TRUE(RefreshColumn(&cube, {{0, 0}}).ok());
   EXPECT_FALSE(cube.Get(0, 0, 0).has_value());
   EXPECT_FALSE(cube.Get(1, 0, 0).has_value());
 }
@@ -606,12 +673,18 @@ TEST_F(CubeBuilderTest, RefreshColumnClearsUndefinedCells) {
 TEST_F(CubeBuilderTest, RefreshColumnValidates) {
   UnfairnessCube cube =
       *BuildMarketplaceCube(*data_, *space_, MarketMeasure::kEmd);
-  EXPECT_FALSE(RefreshMarketplaceColumn(*data_, *space_, MarketMeasure::kEmd,
-                                        {}, nullptr, 0, 0)
-                   .ok());
-  EXPECT_FALSE(RefreshMarketplaceColumn(*data_, *space_, MarketMeasure::kEmd,
-                                        {}, &cube, 9, 0)
-                   .ok());
+  MarketplaceGroupMembership membership(*data_, *space_);
+  EXPECT_EQ(BuildMarketplaceCubeColumns(*data_, *space_, membership,
+                                        MarketMeasure::kEmd, {}, {}, {{0, 0}},
+                                        1, nullptr)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RefreshColumn(&cube, {{9, 0}}).code(),
+            StatusCode::kInvalidArgument);
+  // An empty list builds nothing: the cube is left as it was.
+  size_t present = cube.num_present();
+  EXPECT_TRUE(RefreshColumn(&cube, {}).ok());
+  EXPECT_EQ(cube.num_present(), present);
 }
 
 TEST(ParallelBuildTest, ParallelPropagatesErrors) {
@@ -633,7 +706,7 @@ TEST(ParallelBuildTest, ParallelPropagatesErrors) {
   EXPECT_EQ(cube.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SearchCubeBuilderTest, RefreshSearchColumnTracksNewObservations) {
+TEST(SearchCubeBuilderTest, RefreshColumnTracksNewObservations) {
   AttributeSchema schema;
   ASSERT_TRUE(schema.AddAttribute("gender", {"Male", "Female"}).ok());
   SearchDataset data(schema);
@@ -654,8 +727,9 @@ TEST(SearchCubeBuilderTest, RefreshSearchColumnTracksNewObservations) {
   // New runs arrive for the second query: disjoint result sets.
   ASSERT_TRUE(data.AddObservation(1, l, {0, {4, 5}}).ok());
   ASSERT_TRUE(data.AddObservation(1, l, {1, {8, 9}}).ok());
-  ASSERT_TRUE(RefreshSearchColumn(data, space, SearchMeasure::kJaccard, {},
-                                  &cube, 1, 0)
+  CubeMaterializeSink sink(&cube);
+  ASSERT_TRUE(BuildSearchCubeColumns(data, space, SearchMeasure::kJaccard, {},
+                                     {}, {{1, 0}}, /*parallelism=*/1, &sink)
                   .ok());
   ASSERT_TRUE(cube.Get(0, 1, 0).has_value());
   EXPECT_DOUBLE_EQ(*cube.Get(0, 1, 0), 1.0);

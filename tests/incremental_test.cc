@@ -187,6 +187,33 @@ void ExpectIndicesMatchCube(const IndexSet& actual,
   }
 }
 
+// Make builds its first cube from the maintainer's own membership table
+// through the columns entry; it must equal the in-memory builder bit for
+// bit, over full and restricted axes, serial and pooled.
+TEST(MarketplaceMaintainerTest, ColdBuildMatchesBuildMarketplaceCubeBitwise) {
+  GroupSpace space = *GroupSpace::Enumerate(TwoAttributeSchema());
+  MarketplaceDataset data = MakeMarketplace(/*seed=*/5);
+  CubeAxes restricted;
+  restricted.groups = {0, 3, 4};
+  restricted.locations = {1, 0};
+  for (MarketMeasure measure :
+       {MarketMeasure::kEmd, MarketMeasure::kExposure}) {
+    for (const CubeAxes& axes : {CubeAxes{}, restricted}) {
+      for (size_t parallelism : {size_t{1}, size_t{3}}) {
+        Result<MarketplaceCubeMaintainer> made =
+            MarketplaceCubeMaintainer::Make(data, space, measure, {}, axes,
+                                            parallelism);
+        ASSERT_TRUE(made.ok()) << made.status().ToString();
+        Result<UnfairnessCube> expected =
+            BuildMarketplaceCube(data, space, measure, {}, axes, parallelism);
+        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+        ExpectCubesBitwiseEqual(made->snapshot()->cube(), *expected,
+                                MarketMeasureName(measure));
+      }
+    }
+  }
+}
+
 TEST(MarketplaceMaintainerTest, UpsertsMatchColdRebuildBitwise) {
   GroupSpace space = *GroupSpace::Enumerate(TwoAttributeSchema());
   for (MarketMeasure measure : {MarketMeasure::kEmd, MarketMeasure::kExposure}) {

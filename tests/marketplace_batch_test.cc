@@ -1,9 +1,8 @@
 // Differential suite for the batched marketplace engine
 // (core/marketplace_batch.h): MarketplaceCellBatch must be *bitwise*
-// identical to both the cell-shared MarketplaceCellContext and the
-// per-triple MarketplaceUnfairness reference — values, missing-cell
-// pattern and exact NotFound messages — across both measures, every
-// option variant, and the SIMD/scalar kernel split. Own binary so the
+// identical to the per-triple MarketplaceUnfairness reference — values,
+// missing-cell pattern and exact NotFound messages — across both measures,
+// every option variant, and the SIMD/scalar kernel split. Own binary so the
 // sanitizer matrix can run it directly (the hoisted membership table and
 // the bitmap kernels must be ASan/TSan-clean).
 
@@ -130,10 +129,10 @@ std::vector<MeasureOptions> OptionVariants() {
   return variants;
 }
 
-// The tentpole contract: batch ≡ context ≡ per-triple reference, bit for
-// bit, across measures × option variants × random cells — including which
-// cells are missing and with which message.
-TEST(MarketplaceBatchTest, MatchesContextAndReferenceBitwise) {
+// The tentpole contract: batch ≡ per-triple reference, bit for bit, across
+// measures × option variants × random cells — including which cells are
+// missing and with which message.
+TEST(MarketplaceBatchTest, MatchesReferenceBitwise) {
   Rng rng(20200330);
   RandomMarket m = MakeRandomMarket(rng, 70, 6, 4);
   MarketplaceGroupMembership membership(*m.data, *m.space);
@@ -145,11 +144,17 @@ TEST(MarketplaceBatchTest, MatchesContextAndReferenceBitwise) {
           const MarketRanking* ranking = m.data->GetRanking(q, l);
           Result<MarketplaceCellBatch> batch = MarketplaceCellBatch::Make(
               *m.space, membership, ranking, measure, options);
-          Result<MarketplaceCellContext> context =
-              MarketplaceCellContext::Make(*m.data, *m.space, ranking, options);
-          ASSERT_EQ(batch.ok(), context.ok());
           if (!batch.ok()) {
-            EXPECT_EQ(batch.status().message(), context.status().message());
+            // A whole-column NotFound: every triple of the column is
+            // undefined in the reference, with the same message.
+            for (GroupId g = 0;
+                 g < static_cast<GroupId>(m.space->num_groups()); ++g) {
+              Result<double> reference = MarketplaceUnfairness(
+                  *m.data, *m.space, g, q, l, measure, options);
+              ASSERT_FALSE(reference.ok());
+              EXPECT_EQ(batch.status().message(),
+                        reference.status().message());
+            }
             continue;
           }
           for (GroupId g = 0;
@@ -158,15 +163,17 @@ TEST(MarketplaceBatchTest, MatchesContextAndReferenceBitwise) {
                                " q=" + std::to_string(q) +
                                " l=" + std::to_string(l) +
                                " g=" + std::to_string(g);
-            Result<double> from_batch = batch->Unfairness(g);
-            ExpectBitwise(from_batch, context->Unfairness(g, measure),
-                          what + " (vs context)");
-            ExpectBitwise(from_batch,
+            ExpectBitwise(batch->Unfairness(g),
                           MarketplaceUnfairness(*m.data, *m.space, g, q, l,
                                                 measure, options),
-                          what + " (vs reference)");
-            EXPECT_EQ(batch->member_count(g), context->positions(g).size())
-                << what;
+                          what);
+            size_t members = 0;
+            for (WorkerId w : ranking->workers) {
+              if (m.space->label(g).Matches(m.data->worker_demographics(w))) {
+                ++members;
+              }
+            }
+            EXPECT_EQ(batch->member_count(g), members) << what;
           }
         }
       }
@@ -193,16 +200,18 @@ TEST(MarketplaceBatchTest, NullAndEmptyRankingsAreWholeColumnNotFound) {
             "no ranking observed for this (query, location)");
 
   // Malformed options are rejected before the ranking is even looked at —
-  // the same precedence the reference and the context apply.
+  // the same precedence the reference applies.
   MeasureOptions bad;
   bad.histogram_bins = 0;
   Result<MarketplaceCellBatch> bad_options = MarketplaceCellBatch::Make(
       *m.space, membership, nullptr, MarketMeasure::kEmd, bad);
   ASSERT_FALSE(bad_options.ok());
-  Result<MarketplaceCellContext> context_bad =
-      MarketplaceCellContext::Make(*m.data, *m.space, nullptr, bad);
-  ASSERT_FALSE(context_bad.ok());
-  EXPECT_EQ(bad_options.status().message(), context_bad.status().message());
+  Result<double> reference_bad =
+      MarketplaceUnfairness(*m.data, *m.space, 0, m.queries[0],
+                            m.locations[0], MarketMeasure::kEmd, bad);
+  ASSERT_FALSE(reference_bad.ok());
+  EXPECT_EQ(bad_options.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_options.status().message(), reference_bad.status().message());
 }
 
 TEST(MarketplaceBatchTest, StaleMembershipTableIsRejected) {
