@@ -1,12 +1,28 @@
 #include "core/data_model.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 namespace fairjob {
+namespace {
+
+// True when every id is in [lo, hi] and none repeats: one sorted copy
+// instead of a hash-set insert per id. Callers rerun their ordered check
+// only on failure, to name the first offender.
+bool IdsDistinctWithin(const std::vector<int32_t>& ids, int64_t lo,
+                       int64_t hi) {
+  if (ids.empty()) return true;
+  std::vector<int32_t> sorted(ids);
+  std::sort(sorted.begin(), sorted.end());
+  if (sorted.front() < lo || sorted.back() > hi) return false;
+  return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+}
+
+}  // namespace
 
 int32_t Vocabulary::GetOrAdd(std::string_view name) {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   int32_t id = static_cast<int32_t>(names_.size());
   names_.emplace_back(name);
@@ -15,7 +31,7 @@ int32_t Vocabulary::GetOrAdd(std::string_view name) {
 }
 
 Result<int32_t> Vocabulary::Find(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it == ids_.end()) {
     return Status::NotFound("'" + std::string(name) + "' not in vocabulary");
   }
@@ -28,11 +44,12 @@ Result<WorkerId> MarketplaceDataset::AddWorker(std::string_view name,
     return Status::InvalidArgument("worker '" + std::string(name) +
                                    "' has invalid demographics");
   }
-  if (workers_.Find(name).ok()) {
+  const size_t known = workers_.size();
+  WorkerId id = workers_.GetOrAdd(name);
+  if (workers_.size() == known) {
     return Status::AlreadyExists("worker '" + std::string(name) +
                                  "' already registered");
   }
-  WorkerId id = workers_.GetOrAdd(name);
   demographics_.push_back(std::move(demographics));
   return id;
 }
@@ -43,6 +60,11 @@ Status MarketplaceDataset::ValidateRanking(const MarketRanking& ranking) const {
     return Status::InvalidArgument(
         "scores length disagrees with worker list length");
   }
+  if (IdsDistinctWithin(ranking.workers, 0,
+                        static_cast<int64_t>(demographics_.size()) - 1)) {
+    return Status::OK();
+  }
+  // Name the first offender, in list order.
   std::unordered_set<WorkerId> seen;
   for (WorkerId w : ranking.workers) {
     if (w < 0 || static_cast<size_t>(w) >= demographics_.size()) {
@@ -88,11 +110,12 @@ Result<UserId> SearchDataset::AddUser(std::string_view name,
     return Status::InvalidArgument("user '" + std::string(name) +
                                    "' has invalid demographics");
   }
-  if (users_.Find(name).ok()) {
+  const size_t known = users_.size();
+  UserId id = users_.GetOrAdd(name);
+  if (users_.size() == known) {
     return Status::AlreadyExists("user '" + std::string(name) +
                                  "' already registered");
   }
-  UserId id = users_.GetOrAdd(name);
   demographics_.push_back(std::move(demographics));
   return id;
 }
@@ -107,6 +130,11 @@ Status ValidateObservation(const SearchObservation& obs, size_t num_users) {
   if (obs.results.empty()) {
     return Status::InvalidArgument("observation has an empty result list");
   }
+  if (IdsDistinctWithin(obs.results, std::numeric_limits<int32_t>::min(),
+                        std::numeric_limits<int32_t>::max())) {
+    return Status::OK();
+  }
+  // Name the first repeated document, in list order.
   std::unordered_set<int32_t> seen;
   for (int32_t doc : obs.results) {
     if (!seen.insert(doc).second) {

@@ -2,6 +2,7 @@
 #define FAIRJOB_CORE_DATA_MODEL_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -19,7 +20,8 @@ using WorkerId = int32_t;
 using UserId = int32_t;
 
 // Bidirectional string <-> dense id mapping for queries, locations, workers,
-// users and documents.
+// users and documents. Lookups hash the string_view directly (transparent
+// hash), so Find and a GetOrAdd hit build no std::string.
 class Vocabulary {
  public:
   // Returns the existing id or assigns the next dense id.
@@ -34,8 +36,15 @@ class Vocabulary {
   size_t size() const { return names_.size(); }
 
  private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, int32_t> ids_;
+  std::unordered_map<std::string, int32_t, Hash, std::equal_to<>> ids_;
 };
 
 // Key for per-(query, location) observations.

@@ -1,9 +1,38 @@
 #include "crawl/crawler.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <unordered_set>
 
+#include "common/metrics.h"
+
 namespace fairjob {
+namespace {
+
+// `crawl.*` observability (docs/observability.md). Counts are added once
+// per query (or per retried request), never per record.
+Counter* PagesFetched() {
+  static Counter* const counter =
+      MetricsRegistry::Global().counter("crawl.pages_fetched");
+  return counter;
+}
+Counter* Retries() {
+  static Counter* const counter =
+      MetricsRegistry::Global().counter("crawl.retries");
+  return counter;
+}
+Counter* FailedQueries() {
+  static Counter* const counter =
+      MetricsRegistry::Global().counter("crawl.failed_queries");
+  return counter;
+}
+Counter* CapTruncatedQueries() {
+  static Counter* const counter =
+      MetricsRegistry::Global().counter("crawl.cap_truncated_queries");
+  return counter;
+}
+
+}  // namespace
 
 Crawler::Crawler(MarketplaceSite* site, VirtualClock* clock,
                  CrawlerConfig config)
@@ -27,6 +56,7 @@ Result<RetType> Crawler::FetchWithRetry(Fetch fetch, CrawlReport* report) {
       return result;  // permanent failure or retries exhausted
     }
     if (report != nullptr) ++report->retries;
+    Retries()->Add(1);
     clock_->AdvanceSeconds(backoff);
     backoff *= 2;
   }
@@ -34,23 +64,37 @@ Result<RetType> Crawler::FetchWithRetry(Fetch fetch, CrawlReport* report) {
 
 Status Crawler::CrawlQuery(const std::string& job, const std::string& city,
                            CrawlReport* report) {
+  const size_t cap = config_.max_results_per_query;
   size_t rank = 0;
+  size_t pages = 0;
+  bool truncated = false;
+  Status status = Status::OK();
   for (size_t page = 0;; ++page) {
     Result<ResultPage> fetched = FetchWithRetry<ResultPage>(
         [&] { return site_->FetchPage(job, city, page, config_.page_size); },
         report);
     if (!fetched.ok()) {
       ++report->failed_queries;
-      return fetched.status();
+      status = fetched.status();
+      break;
     }
-    for (const std::string& worker : fetched->worker_names) {
-      if (rank >= config_.max_results_per_query) break;
-      ++rank;
-      report->records.push_back(CrawlRecord{job, city, rank, worker});
+    ++pages;
+    std::vector<std::string>& names = fetched->worker_names;
+    const size_t take = std::min(names.size(), cap - rank);
+    for (size_t i = 0; i < take; ++i) {
+      report->records.push_back(
+          CrawlRecord{job, city, ++rank, std::move(names[i])});
     }
-    if (!fetched->has_more || rank >= config_.max_results_per_query) break;
+    if (rank >= cap) {
+      truncated = take < names.size() || fetched->has_more;
+      break;
+    }
+    if (!fetched->has_more) break;
   }
-  return Status::OK();
+  PagesFetched()->Add(pages);
+  if (!status.ok()) FailedQueries()->Add(1);
+  if (truncated) CapTruncatedQueries()->Add(1);
+  return status;
 }
 
 Result<CrawlReport> Crawler::CrawlAll() {

@@ -81,7 +81,9 @@ class Crawler {
   Result<CrawlReport> CrawlQueries(
       const std::vector<std::pair<std::string, std::string>>& job_city_pairs);
 
-  // A single (job, city) query; appends to `report`.
+  // A single (job, city) query; appends to `report`. Publishes
+  // crawl.pages_fetched, crawl.failed_queries and crawl.cap_truncated_queries
+  // once per query, crawl.retries once per retried request.
   Status CrawlQuery(const std::string& job, const std::string& city,
                     CrawlReport* report);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -432,23 +433,71 @@ std::vector<int32_t> AxisIdsOf(const UnfairnessCube& cube, Dimension d) {
   return ids;
 }
 
+#if defined(FAIRJOB_CUBE_IO_POSIX)
+// Atomic publication. A cube file is written under a unique temporary name
+// in the target's directory, fsync'd, renamed over the target, and the
+// directory is fsync'd. A live MappedCube of the old file keeps the old
+// inode (a truncate in place would SIGBUS it), and a crash leaves the old
+// cube or the new one, never a torn file.
+struct TempFile {
+  int fd = -1;
+  std::string path;
+};
+
+Result<TempFile> CreateTempBeside(const std::string& target) {
+  static std::atomic<uint64_t> sequence{0};
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    std::string path = target + ".tmp." + std::to_string(::getpid()) + "." +
+                       std::to_string(sequence.fetch_add(1));
+    int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_RDWR | O_CLOEXEC, 0644);
+    if (fd >= 0) return TempFile{fd, std::move(path)};
+    if (errno != EEXIST) break;
+  }
+  return Status::IOError("cannot open '" + target + "' for writing");
+}
+
+// Flushes and closes `temp`, renames it over `target` and flushes the
+// directory entry (best effort: some file systems refuse a directory
+// fsync). Unlinks the temporary file on failure.
+Status PublishTemp(const TempFile& temp, const std::string& target) {
+  bool flushed = ::fsync(temp.fd) == 0;
+  flushed = ::close(temp.fd) == 0 && flushed;
+  if (!flushed) {
+    ::unlink(temp.path.c_str());
+    return Status::IOError("cannot flush '" + target + "'");
+  }
+  if (::rename(temp.path.c_str(), target.c_str()) != 0) {
+    ::unlink(temp.path.c_str());
+    return Status::IOError("cannot rename a new cube over '" + target + "'");
+  }
+  const size_t slash = target.rfind('/');
+  const std::string dir = slash == std::string::npos
+                              ? std::string(".")
+                              : target.substr(0, std::max<size_t>(slash, 1));
+  int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd >= 0) {
+    ::fsync(dir_fd);
+    ::close(dir_fd);
+  }
+  return Status::OK();
+}
+#endif
+
+// Replaces `path` with `bytes` (atomically on POSIX, see PublishTemp).
 Status WriteFileBytes(const std::string& path, const std::string& bytes) {
 #if defined(FAIRJOB_CUBE_IO_POSIX)
-  int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
+  FAIRJOB_ASSIGN_OR_RETURN(TempFile temp, CreateTempBeside(path));
   size_t done = 0;
   while (done < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    ssize_t n = ::write(temp.fd, bytes.data() + done, bytes.size() - done);
     if (n <= 0) {
-      ::close(fd);
+      ::close(temp.fd);
+      ::unlink(temp.path.c_str());
       return Status::IOError("short write to '" + path + "'");
     }
     done += static_cast<size_t>(n);
   }
-  ::close(fd);
-  return Status::OK();
+  return PublishTemp(temp, path);
 #else
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
@@ -875,9 +924,13 @@ Result<UnfairnessCube> LoadCubeBinary(const std::string& path) {
 
 class BinaryCubeColumnWriter::Impl {
  public:
+  // A writer that never published removes its temporary file.
   ~Impl() {
 #if defined(FAIRJOB_CUBE_IO_POSIX)
-    if (fd_ >= 0) ::close(fd_);
+    if (temp_.fd >= 0) {
+      ::close(temp_.fd);
+      ::unlink(temp_.path.c_str());
+    }
 #endif
   }
 
@@ -927,14 +980,13 @@ class BinaryCubeColumnWriter::Impl {
     presence_offset_ = values_offset_ + 8 * cells_;
     file_bytes_ = presence_offset_ + 8 * presence_.size();
 
-    fd_ = ::open(path.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
-    if (fd_ < 0) {
-      return Status::IOError("cannot open '" + path + "' for writing");
-    }
+    // Columns land in a temporary file beside `path`; Finish renames it
+    // over `path`, which stays untouched until then.
+    FAIRJOB_ASSIGN_OR_RETURN(temp_, CreateTempBeside(path));
     FAIRJOB_RETURN_IF_ERROR(WriteAt(prefix.data(), prefix.size(), 0));
     // Unstreamed columns must read as value 0.0 / absent: extending the file
     // to full size makes every unwritten byte a zero.
-    if (::ftruncate(fd_, static_cast<off_t>(file_bytes_)) != 0) {
+    if (::ftruncate(temp_.fd, static_cast<off_t>(file_bytes_)) != 0) {
       return Status::IOError("cannot size '" + path + "' to " +
                              std::to_string(file_bytes_) + " bytes");
     }
@@ -1008,7 +1060,7 @@ class BinaryCubeColumnWriter::Impl {
     size_t offset = kBinaryCubeHeaderBytes;
     while (offset < file_bytes_) {
       size_t want = std::min(chunk.size(), file_bytes_ - offset);
-      ssize_t n = ::pread(fd_, chunk.data(), want,
+      ssize_t n = ::pread(temp_.fd, chunk.data(), want,
                           static_cast<off_t>(offset));
       if (n <= 0) {
         return Status::IOError("short read while checksumming '" + path_ +
@@ -1029,12 +1081,10 @@ class BinaryCubeColumnWriter::Impl {
     unsigned char header_bytes[kBinaryCubeHeaderBytes];
     SerializeHeader(header, header_bytes);
     FAIRJOB_RETURN_IF_ERROR(WriteAt(header_bytes, sizeof(header_bytes), 0));
+    TempFile temp = temp_;
+    temp_.fd = -1;  // PublishTemp closes it, and unlinks it on failure
+    FAIRJOB_RETURN_IF_ERROR(PublishTemp(temp, path_));
     BinaryBytesWritten()->Add(file_bytes_);
-    int fd = fd_;
-    fd_ = -1;
-    if (::close(fd) != 0) {
-      return Status::IOError("cannot close '" + path_ + "'");
-    }
     return Status::OK();
 #endif
   }
@@ -1045,7 +1095,7 @@ class BinaryCubeColumnWriter::Impl {
     const char* p = static_cast<const char*>(data);
     size_t done = 0;
     while (done < bytes) {
-      ssize_t n = ::pwrite(fd_, p + done, bytes - done,
+      ssize_t n = ::pwrite(temp_.fd, p + done, bytes - done,
                            static_cast<off_t>(offset + done));
       if (n <= 0) {
         return Status::IOError("short write to '" + path_ + "'");
@@ -1055,7 +1105,7 @@ class BinaryCubeColumnWriter::Impl {
     return Status::OK();
   }
 
-  int fd_ = -1;
+  TempFile temp_;
 #endif
   std::string path_;
   size_t g_size_ = 0;

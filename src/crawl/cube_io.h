@@ -79,8 +79,11 @@ struct BinaryCubeWriteOptions {
 };
 
 // Writes `cube` (and optional axis names, parallel to the cube axes) as one
-// binary file. Errors: IOError on filesystem failure, InvalidArgument when
-// `names` axis lengths do not match the cube.
+// binary file. On POSIX the file is published atomically: written to a
+// temporary file in the same directory, fsync'd and renamed over `path`, so
+// a MappedCube of the previous file keeps its old contents and a crash
+// never leaves a torn file. Errors: IOError on filesystem failure,
+// InvalidArgument when `names` axis lengths do not match the cube.
 Status SaveCubeBinary(const std::string& path, const UnfairnessCube& cube,
                       const CubeNames* names = nullptr,
                       const BinaryCubeWriteOptions& options = {});
@@ -157,6 +160,12 @@ class MappedCube {
 // columns from any thread in any order (writes to disjoint offsets);
 // Finish seals the file — presence bitmap, CRC, header — and must be called
 // exactly once before destruction for the file to be readable.
+//
+// Until Finish the target path is untouched: the columns go to a temporary
+// file in the same directory, which Finish fsyncs and renames over the
+// target (as SaveCubeBinary does), so a MappedCube serving the old file
+// keeps reading it. A writer destroyed without Finish unlinks its
+// temporary file.
 class BinaryCubeColumnWriter final : public CubeColumnSink {
  public:
   static Result<std::unique_ptr<BinaryCubeColumnWriter>> Create(

@@ -2,11 +2,24 @@
 
 #include <algorithm>
 #include <map>
-
-#include "common/string_util.h"
 #include <set>
+#include <string_view>
+
+#include "common/metrics.h"
+#include "common/string_util.h"
 
 namespace fairjob {
+namespace {
+
+// `assembly.*` observability (docs/observability.md): records dropped
+// because their worker has no demographic label, added once per call.
+Counter* DroppedRecords() {
+  static Counter* const counter =
+      MetricsRegistry::Global().counter("assembly.dropped_records");
+  return counter;
+}
+
+}  // namespace
 
 Result<MarketplaceAssembly> AssembleMarketplace(
     const AttributeSchema& schema, const std::vector<CrawlRecord>& records,
@@ -15,45 +28,63 @@ Result<MarketplaceAssembly> AssembleMarketplace(
   MarketplaceAssembly out{MarketplaceDataset(schema), 0};
   MarketplaceDataset& ds = out.dataset;
 
-  // Register every labeled worker appearing in the crawl.
-  std::unordered_map<std::string, WorkerId> worker_ids;
-  for (const CrawlRecord& r : records) {
-    if (worker_ids.count(r.worker_name) > 0) continue;
-    auto demo = demographics_by_worker.find(r.worker_name);
-    if (demo == demographics_by_worker.end()) continue;  // dropped below
-    FAIRJOB_ASSIGN_OR_RETURN(WorkerId id,
-                             ds.AddWorker(r.worker_name, demo->second));
-    worker_ids.emplace(r.worker_name, id);
+  // Each record's worker id, resolved once. A worker is registered at its
+  // first record, so ids follow crawl order; unlabeled workers resolve to
+  // kUnlabeled and their records are dropped below.
+  constexpr WorkerId kUnlabeled = -1;
+  std::vector<WorkerId> record_worker(records.size());
+  std::unordered_map<std::string_view, WorkerId> worker_ids;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const std::string& name = records[i].worker_name;
+    auto [it, first] = worker_ids.try_emplace(name, kUnlabeled);
+    if (first) {
+      auto demo = demographics_by_worker.find(name);
+      if (demo != demographics_by_worker.end()) {
+        FAIRJOB_ASSIGN_OR_RETURN(it->second, ds.AddWorker(name, demo->second));
+      }
+    }
+    record_worker[i] = it->second;
   }
 
-  // Group records per (job, city), keeping rank order. std::map gives a
-  // deterministic query/location numbering from identical crawls.
-  std::map<std::pair<std::string, std::string>, std::vector<const CrawlRecord*>>
+  // Record indices per (job, city), in crawl order. std::map gives a
+  // deterministic query/location numbering from identical crawls
+  // (string_view keys order exactly as std::string keys do). A crawl emits
+  // each query's records contiguously, so the map is probed once per run of
+  // equal (job, city), not once per record.
+  std::map<std::pair<std::string_view, std::string_view>, std::vector<size_t>>
       per_query;
-  for (const CrawlRecord& r : records) {
-    per_query[{r.job, r.city}].push_back(&r);
+  std::vector<size_t>* run = nullptr;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const CrawlRecord& r = records[i];
+    if (run == nullptr || r.job != records[i - 1].job ||
+        r.city != records[i - 1].city) {
+      run = &per_query[{r.job, r.city}];
+    }
+    run->push_back(i);
   }
 
+  auto by_rank = [&records](size_t a, size_t b) {
+    return records[a].rank < records[b].rank;
+  };
   for (auto& [key, group] : per_query) {
-    std::stable_sort(group.begin(), group.end(),
-                     [](const CrawlRecord* a, const CrawlRecord* b) {
-                       return a->rank < b->rank;
-                     });
+    if (!std::is_sorted(group.begin(), group.end(), by_rank)) {
+      std::stable_sort(group.begin(), group.end(), by_rank);
+    }
     MarketRanking ranking;
     ranking.workers.reserve(group.size());
-    for (const CrawlRecord* r : group) {
-      auto it = worker_ids.find(r->worker_name);
-      if (it == worker_ids.end()) {
+    for (size_t i : group) {
+      if (record_worker[i] == kUnlabeled) {
         ++out.dropped_records;
         continue;
       }
-      ranking.workers.push_back(it->second);
+      ranking.workers.push_back(record_worker[i]);
     }
     if (ranking.workers.empty()) continue;
     QueryId q = ds.queries().GetOrAdd(key.first);
     LocationId l = ds.locations().GetOrAdd(key.second);
     FAIRJOB_RETURN_IF_ERROR(ds.SetRanking(q, l, std::move(ranking)));
   }
+  DroppedRecords()->Add(out.dropped_records);
   return out;
 }
 

@@ -25,6 +25,9 @@ struct MarketplaceAssembly {
 // rank gaps are tolerated (the order is what matters), duplicate
 // (job, city, worker) entries are errors.
 //
+// Adds dropped_records to the assembly.dropped_records counter once per
+// call.
+//
 // Errors: InvalidArgument on duplicate workers within one query's results or
 // invalid demographics.
 Result<MarketplaceAssembly> AssembleMarketplace(

@@ -38,6 +38,12 @@ struct JobOffering {
 // deterministic per (seed, sub-job, city) and cached, so repeated crawls and
 // pagination see a consistent order. Implements the crawler's
 // MarketplaceSite interface and can also emit datasets directly.
+//
+// Everything a ranking needs beyond the site itself is computed lazily on
+// first use and kept in flat [city × offering] / [city × category] tables:
+// the ranking, and the category-participation filter (which does not
+// depend on the epoch). A ranking evaluates ScoringModel::Penalty once per
+// demographic cell, not once per worker.
 class SimulatedMarketplace : public MarketplaceSite {
  public:
   struct Config {
@@ -53,7 +59,8 @@ class SimulatedMarketplace : public MarketplaceSite {
   };
 
   // `excluded` holds "city|sub_job" keys that are not offered (the paper's
-  // crawl yielded 5,361 of the possible city × job combinations).
+  // crawl yielded 5,361 of the possible city × job combinations); a key
+  // naming no (city, sub-job) pair excludes nothing.
   // Errors: InvalidArgument on empty cities/offerings or workers referencing
   // unknown cities.
   static Result<SimulatedMarketplace> Make(
@@ -88,13 +95,15 @@ class SimulatedMarketplace : public MarketplaceSite {
   // (workers' relative standing shifts modestly) while the population, the
   // injected bias and category participation stay fixed. Rankings remain
   // deterministic per (seed, epoch, job, city) — the substrate for
-  // monitoring audits across repeated crawls.
+  // monitoring audits across repeated crawls. Only the cached rankings are
+  // dropped; the participation filter is kept.
   void SetEpoch(uint32_t epoch);
   uint32_t epoch() const { return epoch_; }
 
   const std::vector<JobOffering>& offerings() const { return offerings_; }
   bool IsOffered(const std::string& job, const std::string& city) const;
 
+  // Offered (city, sub-job) pairs: the sum of JobsIn over Cities().
   size_t num_queries_offered() const;
 
  private:
@@ -104,6 +113,22 @@ class SimulatedMarketplace : public MarketplaceSite {
         scoring_(std::move(scoring)),
         config_(config),
         failure_rng_(config.seed ^ 0xfa11fa11u) {}
+
+  // Index of (job, city) in the [city × offering] tables, or
+  // offered_.size() when the pair is not offered.
+  size_t OfferedSlot(const std::string& job, const std::string& city) const;
+  // The cached ranking for (job, city), built on first use; stays valid
+  // until SetEpoch changes the epoch. Errors: NotFound when the pair is not
+  // offered.
+  Result<const std::vector<size_t>*> Ranking(const std::string& job,
+                                             const std::string& city);
+  // Ranks the pool of (city, offering) into `ranking`.
+  void BuildRanking(size_t city, size_t offering,
+                    std::vector<size_t>* ranking);
+  // The workers of `city` who offer the category of `offering` (all of
+  // them at participation 1), in workers_in_city_ order; computed once per
+  // (city, category).
+  const std::vector<size_t>& Pool(size_t city, size_t offering);
 
   AttributeSchema schema_;
   ScoringModel scoring_;
@@ -119,9 +144,18 @@ class SimulatedMarketplace : public MarketplaceSite {
   std::vector<std::vector<size_t>> workers_in_city_;
   std::vector<JobOffering> offerings_;
   std::unordered_map<std::string, size_t> offering_by_subjob_;
-  std::unordered_set<std::string> excluded_;
+  std::vector<size_t> offering_category_;  // dense category id per offering
+  size_t num_categories_ = 0;
+  std::vector<uint8_t> offered_;  // [city × offering]: not excluded
+  size_t num_offered_ = 0;
 
-  std::unordered_map<std::string, std::vector<size_t>> ranking_cache_;
+  // Lazily sized on first use. `ranked_` flags which slots of `rankings_`
+  // hold the current epoch's ranking; `pooled_` which slots of `pools_`
+  // are computed.
+  std::vector<std::vector<size_t>> rankings_;  // [city × offering]
+  std::vector<uint8_t> ranked_;
+  std::vector<std::vector<size_t>> pools_;  // [city × category]
+  std::vector<uint8_t> pooled_;
 };
 
 }  // namespace fairjob

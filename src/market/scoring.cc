@@ -91,9 +91,10 @@ double ScoringModel::DirectAdjust(const std::string& sub_job,
                            calibration_.default_city_severity);
 }
 
-double ScoringModel::Score(double base_quality, const std::string& sub_job,
-                           const std::string& category, const std::string& city,
-                           const Demographics& demographics, Rng* rng) const {
+double ScoringModel::Penalty(const std::string& sub_job,
+                             const std::string& category,
+                             const std::string& city,
+                             const Demographics& demographics) const {
   size_t e =
       static_cast<size_t>(demographics[static_cast<size_t>(ethnicity_attr_)]);
   double severity = Severity(sub_job, category, city, demographics);
@@ -118,8 +119,7 @@ double ScoringModel::Score(double base_quality, const std::string& sub_job,
   penalty += gender * std::clamp(gender_city_sev * cat_sev, 0.0, 2.0);
 
   penalty += DirectAdjust(sub_job, city, demographics);
-  double noise = rng->NextGaussian(0.0, calibration_.noise_stddev);
-  return std::clamp(base_quality - penalty + noise, 0.0, 1.0);
+  return penalty;
 }
 
 }  // namespace fairjob

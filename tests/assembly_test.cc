@@ -91,6 +91,69 @@ TEST(AssembleMarketplaceTest, EmptyCrawlGivesEmptyDataset) {
   EXPECT_EQ(assembly->dataset.num_rankings(), 0u);
 }
 
+// Assembly groups records per (job, city) wherever they appear, so a
+// crawl whose runs are interleaved, whose ranks arrive out of order and
+// which names unlabeled workers must give exactly the dataset built by
+// hand: workers registered at first appearance, queries and locations
+// numbered in sorted (job, city) order, rankings in rank order.
+TEST(AssembleMarketplaceTest, InterleavedOutOfOrderRunsMatchDirectBuild) {
+  std::vector<CrawlRecord> records = {
+      {"moving", "NYC", 2, "w3"},
+      {"moving", "NYC", 1, "ghost"},
+      {"cleaning", "NYC", 3, "w1"},
+      {"cleaning", "NYC", 1, "w0"},
+      {"moving", "Chicago", 1, "ghost"},  // a query of unlabeled workers only
+      {"moving", "NYC", 3, "w0"},         // the first query, resumed
+      {"cleaning", "NYC", 2, "w2"},
+      {"cleaning", "Boston", 2, "w1"},
+      {"cleaning", "Boston", 1, "w3"},
+      {"cleaning", "NYC", 4, "ghost"},
+  };
+  std::unordered_map<std::string, Demographics> demo = {
+      {"w0", {0, 0}}, {"w1", {1, 1}}, {"w2", {2, 0}}, {"w3", {1, 0}}};
+  Result<MarketplaceAssembly> assembly =
+      AssembleMarketplace(Schema(), records, demo);
+  ASSERT_TRUE(assembly.ok()) << assembly.status().ToString();
+  EXPECT_EQ(assembly->dropped_records, 3u);
+
+  MarketplaceDataset expected(Schema());
+  for (const char* name : {"w3", "w1", "w0", "w2"}) {
+    ASSERT_TRUE(expected.AddWorker(name, demo.at(name)).ok());
+  }
+  auto set = [&expected](const char* job, const char* city,
+                         std::vector<WorkerId> workers) {
+    QueryId q = expected.queries().GetOrAdd(job);
+    LocationId l = expected.locations().GetOrAdd(city);
+    MarketRanking ranking;
+    ranking.workers = std::move(workers);
+    ASSERT_TRUE(expected.SetRanking(q, l, std::move(ranking)).ok());
+  };
+  set("cleaning", "Boston", {0, 1});     // w3, w1
+  set("cleaning", "NYC", {2, 3, 1});     // w0, w2, w1
+  set("moving", "NYC", {0, 2});          // w3, w0
+
+  const MarketplaceDataset& got = assembly->dataset;
+  ASSERT_EQ(got.num_workers(), expected.num_workers());
+  for (WorkerId w = 0; w < static_cast<WorkerId>(got.num_workers()); ++w) {
+    EXPECT_EQ(got.workers().NameOf(w), expected.workers().NameOf(w));
+    EXPECT_EQ(got.worker_demographics(w), expected.worker_demographics(w));
+  }
+  ASSERT_EQ(got.queries().size(), expected.queries().size());
+  for (QueryId q = 0; q < static_cast<QueryId>(got.queries().size()); ++q) {
+    EXPECT_EQ(got.queries().NameOf(q), expected.queries().NameOf(q));
+  }
+  ASSERT_EQ(got.locations().size(), expected.locations().size());
+  for (LocationId l = 0; l < static_cast<LocationId>(got.locations().size());
+       ++l) {
+    EXPECT_EQ(got.locations().NameOf(l), expected.locations().NameOf(l));
+  }
+  ASSERT_EQ(got.RankedPairs(), expected.RankedPairs());
+  for (const QueryLocation& ql : expected.RankedPairs()) {
+    EXPECT_EQ(got.GetRanking(ql.query, ql.location)->workers,
+              expected.GetRanking(ql.query, ql.location)->workers);
+  }
+}
+
 TEST(AssembleSearchTest, BuildsObservationsAndDocumentVocabulary) {
   std::vector<SearchRunRecord> runs = {
       {"u0", "cleaning jobs", "Boston, MA", {"docA", "docB"}},

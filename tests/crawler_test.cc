@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
+#include <unordered_map>
+
+#include "common/metrics.h"
+#include "crawl/dataset_assembly.h"
+#include "market/taskrabbit_sim.h"
+#include "serve/fnv.h"
 
 namespace fairjob {
 namespace {
@@ -274,6 +281,162 @@ TEST(ProfileStoreTest, FromCsvRejectsMalformed) {
                                            "num_reviews", "badges"},
                                           {"w", "p", "abc", "1", ""}})
                    .ok());
+}
+
+// --- the marketplace ingest path, end to end ---------------------------------
+
+void HashString(uint64_t* h, const std::string& s) {
+  fnv::HashValue(h, static_cast<uint64_t>(s.size()));
+  fnv::HashBytes(h, s.data(), s.size());
+}
+
+uint64_t HashRecords(const std::vector<CrawlRecord>& records) {
+  uint64_t h = fnv::kOffset;
+  fnv::HashValue(&h, static_cast<uint64_t>(records.size()));
+  for (const CrawlRecord& r : records) {
+    HashString(&h, r.job);
+    HashString(&h, r.city);
+    fnv::HashValue(&h, static_cast<uint64_t>(r.rank));
+    HashString(&h, r.worker_name);
+  }
+  return h;
+}
+
+// Every observable of a dataset: workers (name and demographics, by id),
+// the query and location vocabularies, and each ranking in RankedPairs
+// order.
+uint64_t HashDataset(const MarketplaceDataset& ds) {
+  uint64_t h = fnv::kOffset;
+  fnv::HashValue(&h, static_cast<uint64_t>(ds.num_workers()));
+  for (size_t w = 0; w < ds.num_workers(); ++w) {
+    HashString(&h, ds.workers().NameOf(static_cast<WorkerId>(w)));
+    for (ValueId v : ds.worker_demographics(static_cast<WorkerId>(w))) {
+      fnv::HashValue(&h, static_cast<int64_t>(v));
+    }
+  }
+  for (const Vocabulary* vocabulary : {&ds.queries(), &ds.locations()}) {
+    fnv::HashValue(&h, static_cast<uint64_t>(vocabulary->size()));
+    for (size_t i = 0; i < vocabulary->size(); ++i) {
+      HashString(&h, vocabulary->NameOf(static_cast<int32_t>(i)));
+    }
+  }
+  for (const QueryLocation& ql : ds.RankedPairs()) {
+    fnv::HashValue(&h, ql.query);
+    fnv::HashValue(&h, ql.location);
+    const MarketRanking* ranking = ds.GetRanking(ql.query, ql.location);
+    fnv::HashValue(&h, static_cast<uint64_t>(ranking->workers.size()));
+    for (WorkerId w : ranking->workers) fnv::HashValue(&h, w);
+  }
+  return h;
+}
+
+std::string Hex(uint64_t h) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// Pins the default site's crawl (the paper's 5,361 queries), its assembly
+// with every 17th worker left unlabeled, and an epoch-1 re-crawl to fixed
+// digests: any change to what the crawl observes or to how assembly
+// numbers ids fails here.
+TEST(CrawlerTest, DefaultSiteIngestDigestIsPinned) {
+  std::unique_ptr<SimulatedMarketplace> site = *BuildTaskRabbitSite();
+  VirtualClock clock;
+  Crawler crawler(site.get(), &clock, CrawlerConfig{});
+  Result<CrawlReport> report = crawler.CrawlAll();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->requests_issued, 24717u);
+  EXPECT_EQ(Hex(HashRecords(report->records)), "0xd7d8dd9d8d4c400e");
+
+  std::unordered_map<std::string, Demographics> labels;
+  for (size_t i = 0; i < site->num_workers(); ++i) {
+    if (i % 17 == 0) continue;
+    labels[site->worker(i).name] = site->worker(i).demographics;
+  }
+  Result<MarketplaceAssembly> assembly =
+      AssembleMarketplace(site->schema(), report->records, labels);
+  ASSERT_TRUE(assembly.ok());
+  EXPECT_EQ(assembly->dropped_records, 13761u);
+  EXPECT_EQ(Hex(HashDataset(assembly->dataset)), "0x273e93370bf45e4c");
+
+  // The next epoch's re-crawl of one city.
+  site->SetEpoch(1);
+  const std::string city = site->Cities()[3];
+  std::vector<std::pair<std::string, std::string>> pages;
+  for (const std::string& job : site->JobsIn(city)) {
+    pages.emplace_back(job, city);
+  }
+  Result<CrawlReport> recrawl = crawler.CrawlQueries(pages);
+  ASSERT_TRUE(recrawl.ok());
+  EXPECT_EQ(Hex(HashRecords(recrawl->records)), "0xec124ae774ce2ddd");
+}
+
+// The ingest counters on a flaky site: every attempt is a fetched page, a
+// retry or the last attempt of a failed query; a query is cap-truncated
+// when it reached the 50-result cap with more results left.
+TEST(CrawlerTest, IngestCountersOnAFlakySite) {
+  TaskRabbitConfig config;
+  config.num_workers = 400;
+  config.max_cities = 3;
+  config.max_subjobs_per_category = 2;
+  config.target_query_count = 1000000;
+  config.transient_failure_rate = 0.3;
+  std::unique_ptr<SimulatedMarketplace> site = *BuildTaskRabbitSite(config);
+
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const bool was_enabled = registry.enabled();
+  registry.SetEnabled(true);
+  const char* kNames[] = {"crawl.pages_fetched", "crawl.retries",
+                          "crawl.failed_queries",
+                          "crawl.cap_truncated_queries",
+                          "assembly.dropped_records"};
+  std::map<std::string, uint64_t> before;
+  for (const char* name : kNames) {
+    before[name] = registry.counter(name)->Value();
+  }
+
+  VirtualClock clock;
+  CrawlerConfig crawler_config;
+  crawler_config.max_retries = 1;
+  Crawler crawler(site.get(), &clock, crawler_config);
+  Result<CrawlReport> report = crawler.CrawlAll();
+  ASSERT_TRUE(report.ok());
+  std::unordered_map<std::string, Demographics> labels;
+  for (size_t i = 0; i < site->num_workers(); i += 2) {
+    labels[site->worker(i).name] = site->worker(i).demographics;
+  }
+  Result<MarketplaceAssembly> assembly =
+      AssembleMarketplace(site->schema(), report->records, labels);
+  ASSERT_TRUE(assembly.ok());
+
+  std::map<std::string, uint64_t> delta;
+  for (const char* name : kNames) {
+    delta[name] = registry.counter(name)->Value() - before[name];
+  }
+  registry.SetEnabled(was_enabled);
+
+  std::map<std::pair<std::string, std::string>, size_t> per_query;
+  for (const CrawlRecord& r : report->records) ++per_query[{r.job, r.city}];
+  size_t truncated = 0;
+  for (const auto& [query, count] : per_query) {
+    if (count == crawler_config.max_results_per_query &&
+        site->RankFor(query.first, query.second)->size() > count) {
+      ++truncated;
+    }
+  }
+  EXPECT_GT(report->retries, 0u);
+  EXPECT_GT(report->failed_queries, 0u);
+  EXPECT_GT(truncated, 0u);
+  EXPECT_GT(assembly->dropped_records, 0u);
+  EXPECT_EQ(delta["crawl.retries"], report->retries);
+  EXPECT_EQ(delta["crawl.failed_queries"], report->failed_queries);
+  EXPECT_EQ(delta["crawl.pages_fetched"],
+            report->requests_issued - report->retries -
+                report->failed_queries);
+  EXPECT_EQ(delta["crawl.cap_truncated_queries"], truncated);
+  EXPECT_EQ(delta["assembly.dropped_records"], assembly->dropped_records);
 }
 
 }  // namespace

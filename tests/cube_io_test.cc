@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -533,6 +535,96 @@ TEST(BinaryCubeIoTest, Crc32MatchesKnownCheckValue) {
     EXPECT_FALSE(LoadCubeBinary(path).ok()) << "byte " << i;
   }
   std::remove(path.c_str());
+}
+
+// Re-saving a path that a MappedCube is serving must not touch the live
+// mapping: saving in place (O_TRUNC) shrank the mapped file under it, and
+// the next Get died with SIGBUS. Atomic publication renames a new inode
+// over the path, so the old mapping keeps reading its old values.
+TEST(BinaryCubeIoTest, ResaveKeepsALiveMappingIntact) {
+  std::string path = TempPath("live.fjcube");
+  std::vector<int32_t> groups(64), queries(40), locations(8);
+  std::iota(groups.begin(), groups.end(), 0);
+  std::iota(queries.begin(), queries.end(), 0);
+  std::iota(locations.begin(), locations.end(), 0);
+  UnfairnessCube big = *UnfairnessCube::Make(groups, queries, locations);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      for (size_t l = 0; l < locations.size(); ++l) {
+        big.Set(g, q, l, static_cast<double>(g * 1000 + q * 10 + l) + 0.25);
+      }
+    }
+  }
+  BinaryCubeWriteOptions dense;
+  dense.layout = BinaryCubeWriteOptions::Layout::kDense;
+  ASSERT_TRUE(SaveCubeBinary(path, big, nullptr, dense).ok());
+  Result<MappedCube> mapped = MappedCube::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  // A much smaller cube over the same path, once by SaveCubeBinary and once
+  // by the column writer.
+  UnfairnessCube small = SampleCube();
+  ASSERT_TRUE(SaveCubeBinary(path, small, nullptr, dense).ok());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      for (size_t l = 0; l < locations.size(); ++l) {
+        ASSERT_EQ(mapped->Get(g, q, l), big.Get(g, q, l));
+      }
+    }
+  }
+  Result<UnfairnessCube> loaded = LoadCubeBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectCubesIdentical(small, *loaded);
+
+  Result<MappedCube> mapped_small = MappedCube::Open(path);
+  ASSERT_TRUE(mapped_small.ok());
+  CubeAxes axes;
+  axes.groups = {7};
+  axes.queries = {8};
+  axes.locations = {9};
+  auto writer = BinaryCubeColumnWriter::Create(path, axes);
+  ASSERT_TRUE(writer.ok());
+  std::optional<double> column[1] = {2.5};
+  ASSERT_TRUE((*writer)->Consume(0, 0, column, 1).ok());
+  ASSERT_TRUE((*writer)->Finish().ok());
+  Result<UnfairnessCube> still_small = mapped_small->Materialize();
+  ASSERT_TRUE(still_small.ok()) << still_small.status().ToString();
+  ExpectCubesIdentical(small, *still_small);
+  EXPECT_EQ(mapped->Get(63, 39, 7), big.Get(63, 39, 7));
+  loaded = LoadCubeBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->Get(0, 0, 0), std::optional<double>(2.5));
+  std::remove(path.c_str());
+}
+
+// A column writer destroyed before Finish leaves the target as it was and
+// no temporary file behind.
+TEST(BinaryCubeIoTest, UnfinishedColumnWriterLeavesNoTrace) {
+  const std::string dir = TempPath("unfinished_writer");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  const std::string path = dir + "/cube.fjcube";
+  UnfairnessCube cube = SampleCube();
+  ASSERT_TRUE(SaveCubeBinary(path, cube).ok());
+  {
+    CubeAxes axes;
+    axes.groups = {1, 2};
+    axes.queries = {3};
+    axes.locations = {4};
+    auto writer = BinaryCubeColumnWriter::Create(path, axes);
+    ASSERT_TRUE(writer.ok());
+    std::optional<double> column[2] = {1.0, 2.0};
+    ASSERT_TRUE((*writer)->Consume(0, 0, column, 2).ok());
+  }
+  Result<UnfairnessCube> loaded = LoadCubeBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectCubesIdentical(cube, *loaded);
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"cube.fjcube"});
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

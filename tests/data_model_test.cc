@@ -28,6 +28,20 @@ TEST(VocabularyTest, FindUnknownFails) {
   EXPECT_FALSE(v.Find("y").ok());
 }
 
+TEST(VocabularyTest, LooksUpStringViewsWithoutTerminator) {
+  Vocabulary v;
+  const std::string text = "alphabeta";
+  std::string_view alpha(text.data(), 5);
+  std::string_view beta(text.data() + 5, 4);
+  EXPECT_EQ(v.GetOrAdd(alpha), 0);
+  EXPECT_EQ(v.GetOrAdd(beta), 1);
+  EXPECT_EQ(v.GetOrAdd("alpha"), 0);
+  EXPECT_EQ(*v.Find("beta"), 1);
+  EXPECT_EQ(*v.Find(std::string_view(text.data(), 5)), 0);
+  EXPECT_FALSE(v.Find(std::string_view(text.data(), 4)).ok());
+  EXPECT_EQ(v.NameOf(1), "beta");
+}
+
 TEST(MarketplaceDatasetTest, AddWorkerValidates) {
   MarketplaceDataset ds(Schema());
   EXPECT_TRUE(ds.AddWorker("w1", {0, 1}).ok());
@@ -46,6 +60,31 @@ TEST(MarketplaceDatasetTest, SetRankingValidatesWorkers) {
   MarketRanking dup;
   dup.workers = {0, 0};
   EXPECT_FALSE(ds.SetRanking(0, 0, dup).ok());
+}
+
+// The validation error names the first offending entry in list order,
+// whichever of a repeat and an unknown id comes first.
+TEST(MarketplaceDatasetTest, ValidateRankingNamesTheFirstOffender) {
+  MarketplaceDataset ds(Schema());
+  ASSERT_TRUE(ds.AddWorker("w0", {0, 0}).ok());
+  ASSERT_TRUE(ds.AddWorker("w1", {1, 1}).ok());
+  ASSERT_TRUE(ds.AddWorker("w2", {2, 0}).ok());
+  MarketRanking ranking;
+  ranking.workers = {1, 0, 1, 9};
+  EXPECT_EQ(ds.ValidateRanking(ranking).message(),
+            "ranking lists worker 1 twice");
+  ranking.workers = {1, 9, 0, 1};
+  EXPECT_EQ(ds.ValidateRanking(ranking).message(),
+            "ranking references unknown worker id 9");
+  ranking.workers = {2, -1, 2};
+  EXPECT_EQ(ds.ValidateRanking(ranking).message(),
+            "ranking references unknown worker id -1");
+  ranking.workers = {2, 0, 1};
+  EXPECT_TRUE(ds.ValidateRanking(ranking).ok());
+  ranking.workers.clear();
+  EXPECT_TRUE(ds.ValidateRanking(ranking).ok());
+  EXPECT_EQ(ds.SetRanking(0, 0, MarketRanking{{0, 3, 0}, {}}).message(),
+            "ranking references unknown worker id 3");
 }
 
 TEST(MarketplaceDatasetTest, SetRankingValidatesScoreLength) {
@@ -104,6 +143,16 @@ TEST(SearchDatasetTest, AddObservationValidates) {
   EXPECT_FALSE(ds.AddObservation(0, 0, {0, {}}).ok());      // empty list
   EXPECT_FALSE(ds.AddObservation(0, 0, {0, {1, 1}}).ok());  // duplicate doc
   EXPECT_TRUE(ds.AddObservation(0, 0, {0, {1, 2}}).ok());
+}
+
+TEST(SearchDatasetTest, ValidationNamesTheFirstRepeatedDocument) {
+  SearchDataset ds(Schema());
+  ASSERT_TRUE(ds.AddUser("u1", {0, 0}).ok());
+  EXPECT_EQ(ds.ValidateObservations({{0, {3, -2, 5, -2, 3}}}).message(),
+            "result list contains document -2 twice");
+  EXPECT_EQ(ds.ValidateObservations({{0, {7, 4}}, {0, {4, 7, 4}}}).message(),
+            "result list contains document 4 twice");
+  EXPECT_TRUE(ds.ValidateObservations({{0, {-3, 0, 9}}}).ok());
 }
 
 TEST(SearchDatasetTest, MultipleObservationsPerCellAccumulate) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <set>
 
 #include "market/scoring.h"
@@ -303,6 +305,93 @@ TEST(TaskRabbitSiteTest, EpochChangesRankingsDeterministically) {
       *BuildTaskRabbitSite(SmallConfig());
   other->SetEpoch(1);
   EXPECT_EQ(*other->RankFor(job, city), epoch1);
+}
+
+// Returning to an epoch redraws exactly its rankings, for every query and
+// through pagination too, whatever was cached in between.
+TEST(TaskRabbitSiteTest, ReturningToAnEpochRestoresEveryRanking) {
+  std::unique_ptr<SimulatedMarketplace> site =
+      *BuildTaskRabbitSite(SmallConfig());
+  std::map<std::pair<std::string, std::string>, std::vector<size_t>> epoch0;
+  for (const std::string& city : site->Cities()) {
+    for (const std::string& job : site->JobsIn(city)) {
+      epoch0[{job, city}] = *site->RankFor(job, city);
+    }
+  }
+  site->SetEpoch(1);
+  size_t changed = 0;
+  for (const auto& [query, ranking] : epoch0) {
+    changed += *site->RankFor(query.first, query.second) != ranking ? 1 : 0;
+  }
+  EXPECT_GT(changed, 0u);
+  site->SetEpoch(0);
+  for (const auto& [query, ranking] : epoch0) {
+    EXPECT_EQ(*site->RankFor(query.first, query.second), ranking);
+    Result<ResultPage> page = site->FetchPage(query.first, query.second, 0, 5);
+    ASSERT_TRUE(page.ok());
+    for (size_t i = 0; i < page->worker_names.size(); ++i) {
+      EXPECT_EQ(page->worker_names[i], site->worker(ranking[i]).name);
+    }
+  }
+}
+
+// An excluded (city, sub-job) pair is NotFound on every path, before and
+// after the offered pairs around it are ranked and cached.
+TEST(TaskRabbitSiteTest, ExcludedPairIsNotFoundBeforeAndAfterCaching) {
+  TaskRabbitConfig config;
+  config.num_workers = 300;  // full geography: 5,361 of 5,376 pairs offered
+  std::unique_ptr<SimulatedMarketplace> site = *BuildTaskRabbitSite(config);
+  std::vector<std::pair<std::string, std::string>> excluded;
+  for (const std::string& city : site->Cities()) {
+    std::vector<std::string> jobs = site->JobsIn(city);
+    for (const JobOffering& offering : site->offerings()) {
+      if (std::find(jobs.begin(), jobs.end(), offering.sub_job) == jobs.end()) {
+        excluded.emplace_back(offering.sub_job, city);
+      }
+    }
+  }
+  ASSERT_EQ(excluded.size(), 5376u - 5361u);
+  ASSERT_EQ(site->num_queries_offered(), 5361u);
+  auto expect_not_found = [&site](const std::string& job,
+                                  const std::string& city) {
+    EXPECT_FALSE(site->IsOffered(job, city));
+    Result<std::vector<size_t>> ranking = site->RankFor(job, city);
+    ASSERT_FALSE(ranking.ok());
+    EXPECT_EQ(ranking.status().code(), StatusCode::kNotFound);
+    Result<ResultPage> page = site->FetchPage(job, city, 0, 10);
+    ASSERT_FALSE(page.ok());
+    EXPECT_EQ(page.status().code(), StatusCode::kNotFound);
+  };
+  for (const auto& [job, city] : excluded) expect_not_found(job, city);
+  for (const std::string& city : site->Cities()) {
+    for (const std::string& job : site->JobsIn(city)) {
+      EXPECT_TRUE(site->IsOffered(job, city));
+      EXPECT_TRUE(site->RankFor(job, city).ok());
+    }
+  }
+  for (const auto& [job, city] : excluded) expect_not_found(job, city);
+  expect_not_found("no such job", site->Cities()[0]);
+  expect_not_found(site->offerings()[0].sub_job, "no such city");
+}
+
+// An exclusion key that names no (city, sub-job) pair excludes nothing and
+// is not subtracted from the offered count.
+TEST(TaskRabbitSiteTest, UnmatchedExclusionKeysExcludeNothing) {
+  AttributeSchema schema = TaskRabbitSchema();
+  ScoringModel scoring =
+      *ScoringModel::Make(schema, MarketCalibration::PaperDefaults());
+  SimWorker worker;
+  worker.name = "w";
+  worker.demographics = {0, 0};
+  Result<SimulatedMarketplace> site = SimulatedMarketplace::Make(
+      schema, {worker}, {"A", "B"}, {{"x", "cat"}, {"y", "cat"}},
+      {"A|x", "Nowhere|x", "B|z", "B|x|y"}, std::move(scoring), {});
+  ASSERT_TRUE(site.ok()) << site.status().ToString();
+  EXPECT_EQ(site->JobsIn("A"), std::vector<std::string>{"y"});
+  EXPECT_EQ(site->JobsIn("B"), (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(site->num_queries_offered(), 3u);
+  EXPECT_EQ(site->RankFor("x", "A").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(*site->RankFor("x", "B"), std::vector<size_t>{});
 }
 
 TEST(TaskRabbitDatasetTest, BiasedCityRanksDiscriminatedGroupsLower) {
