@@ -32,21 +32,13 @@ struct FaginStats {
   size_t rounds = 0;
   // Times the termination bound was evaluated against the k-th best value.
   size_t threshold_checks = 0;
-  // Storage-engine attribution for the random accesses above: the dense
-  // engine answers them from flat position-indexed columns
-  // (dense_accesses == random_accesses), the legacy hash reference from
-  // unordered_map probes (hash_accesses == random_accesses). Exported as
-  // fagin.<algorithm>.{dense,hash}_accesses so dashboards can tell which
-  // engine served a run without parsing names.
-  size_t dense_accesses = 0;
-  size_t hash_accesses = 0;
 };
 
 // Publishes one run's stats to the global MetricsRegistry under
 // "fagin.<algorithm>.*" (runs, access counts, rounds, threshold checks and a
-// latency histogram); no-op while metrics are disabled. Called by every
-// member of the family; exposed so future serving layers can attribute runs
-// to their own algorithm labels.
+// latency histogram); no-op while metrics are disabled. Every Top-K lane
+// publishes through it, with `elapsed_us` the wall time of the lane pass it
+// ran in.
 void RecordFaginMetrics(const char* algorithm, const FaginStats& stats,
                         double elapsed_us);
 
@@ -60,42 +52,57 @@ struct TopKOptions {
   // Materialized once per run into a position-indexed bitmap.
   const std::vector<int32_t>* allowed = nullptr;
   // Size of the target axis when known (SolveQuantification passes the cube
-  // axis size). 0 = derive from the lists' dense columns. The engines size
-  // their flat accumulator arrays and bitmaps to
+  // axis size). 0 = derive from the lists' dense columns. The engine sizes
+  // its flat accumulator arrays and bitmaps to
   // max(universe_hint, max list dense_size), so an understated hint is
   // harmless.
   size_t universe_hint = 0;
 };
 
-// Adaptation of Fagin's Threshold Algorithm (Algorithm 1): round-robin
-// sorted access over the inverted lists, random access to complete each
-// newly seen id's aggregate, and a per-policy threshold bound on unseen ids
-// for early termination. With MissingCellPolicy::kSkip the bound is the
-// max (resp. min) frontier, with kZero the mean of clamped frontiers; with
-// kZero + kLeastUnfair no useful bound exists and the run degenerates to a
-// scan (still correct).
+// The members of the Fagin top-k family (Fagin, Lotem & Naor, "Optimal
+// aggregation algorithms for middleware", JCSS 2003), adapted to the
+// unfairness cube:
+//
+//  * kThresholdAlgorithm — Algorithm 1: round-robin sorted access, random
+//    access to complete each newly seen id's aggregate, and a per-policy
+//    threshold bound on unseen ids for early termination (the max/min
+//    frontier under kSkip, the mean of clamped frontiers under kZero; with
+//    kZero + kLeastUnfair no useful bound exists and the run degenerates to
+//    a scan, still correct).
+//  * kFA — Fagin's original algorithm: sorted access until k ids have been
+//    seen on every list (kZero only; under kSkip it reads everything), then
+//    random access to score every id seen.
+//  * kNRA — no random access: [lower, upper] bounds per seen id from sorted
+//    access only; stops when the k-th best lower bound beats every other
+//    upper bound, then resolves exact aggregates for the k ids. kZero,
+//    kMostUnfair and at most 64 lists only (InvalidArgument otherwise).
+//  * kScan — scores every id in one pass over all list entries.
+//
+// All four return the same top-k up to ties at the k-th value; they differ
+// in their FaginStats.
+enum class TopKAlgorithm {
+  kThresholdAlgorithm,  // Algorithm 1 (default)
+  kFA,
+  kNRA,
+  kScan,
+};
+
+const char* TopKAlgorithmName(TopKAlgorithm algorithm);
+
+// Runs one algorithm over `lists` as a single lane of the batched engine
+// (core/quantification_batch.cc), the one Top-K implementation behind
+// SolveQuantification and SolveQuantificationBatch.
 //
 // Returns up to k entries sorted by value (descending for most-unfair,
-// ascending for least-unfair); ties are broken arbitrarily, as in classic TA.
-// Ids absent from every list are never returned.
+// ascending for least-unfair), ties by ascending position. Which of several
+// ids tied at the k-th value makes the cut depends on the algorithm. Ids
+// absent from every list are never returned.
 //
-// Errors: InvalidArgument when k == 0 or `lists` is empty.
-Result<std::vector<ScoredEntry>> FaginTopK(
-    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
-    FaginStats* stats = nullptr);
-
-// Baseline: scores every id appearing in any list. The dense engine does
-// this in a single pass over all list entries into per-position sum /
-// present-count accumulator arrays — O(total entries) instead of
-// O(candidates × lists) random accesses — and, for large selector fan-outs
-// (hundreds of lists), parallelizes candidate scoring across positions via
-// ThreadPool::Shared(). Both paths keep the per-candidate list-iteration
-// order, so aggregates are bitwise-identical to per-candidate random
-// access. Same contract as FaginTopK; used for correctness cross-checks
-// and as the comparison point in bench_fagin_perf.
-Result<std::vector<ScoredEntry>> ScanTopK(
-    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
-    FaginStats* stats = nullptr);
+// Errors: InvalidArgument when k == 0, `lists` is empty or holds a null
+// list, plus the NRA restrictions above.
+Result<std::vector<ScoredEntry>> RunTopK(
+    TopKAlgorithm algorithm, const std::vector<const InvertedIndex*>& lists,
+    const TopKOptions& options, FaginStats* stats = nullptr);
 
 }  // namespace fairjob
 

@@ -1,6 +1,7 @@
 #include "core/quantification.h"
 
 #include "common/trace.h"
+#include "core/quantification_batch.h"
 
 namespace fairjob {
 namespace {
@@ -59,32 +60,7 @@ Result<QuantificationResult> SolveQuantification(
     const UnfairnessCube& cube, const IndexSet& indices,
     const QuantificationRequest& request) {
   TraceSpan span("SolveQuantification", "quantification");
-  FAIRJOB_RETURN_IF_ERROR(ValidateQuantificationRequest(cube, request));
-
-  std::vector<const InvertedIndex*> lists =
-      indices.ListsFor(request.target, request.agg1, request.agg2);
-
-  TopKOptions options;
-  options.k = request.k;
-  options.direction = request.direction;
-  options.missing = request.missing;
-  options.allowed =
-      request.allowed_targets.empty() ? nullptr : &request.allowed_targets;
-  // The target axis size bounds every list position, so the dense engine can
-  // size its flat accumulators and bitmaps without scanning the lists.
-  options.universe_hint = cube.axis_size(request.target);
-
-  QuantificationResult result;
-  Result<std::vector<ScoredEntry>> top =
-      RunTopK(request.algorithm, lists, options, &result.stats);
-  if (!top.ok()) return top.status();
-
-  result.answers.reserve(top->size());
-  for (const ScoredEntry& e : *top) {
-    result.answers.push_back(QuantificationAnswer{
-        cube.axis_id(request.target, static_cast<size_t>(e.pos)), e.value});
-  }
-  return result;
+  return std::move(SolveQuantificationBatch(cube, indices, {request})[0]);
 }
 
 }  // namespace fairjob

@@ -5,7 +5,6 @@
 
 #include "common/status.h"
 #include "core/fagin.h"
-#include "core/fagin_family.h"
 #include "core/indices.h"
 #include "core/unfairness_cube.h"
 
@@ -53,9 +52,10 @@ void QuantificationOtherDims(Dimension target, Dimension* d1, Dimension* d2);
 Status ValidateQuantificationRequest(const UnfairnessCube& cube,
                                      const QuantificationRequest& request);
 
-// Solves Problem 1 against a cube and its pre-built indices. Errors:
+// Solves Problem 1 against a cube and its pre-built indices: a batch of one
+// through SolveQuantificationBatch (core/quantification_batch.h). Errors:
 // InvalidArgument on malformed requests (k = 0, selector positions out of
-// range).
+// range, the NRA restrictions in core/fagin.h).
 Result<QuantificationResult> SolveQuantification(
     const UnfairnessCube& cube, const IndexSet& indices,
     const QuantificationRequest& request);

@@ -2,26 +2,104 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
+#include "common/metrics.h"
 #include "common/trace.h"
-#include "core/fagin_dense.h"
 #include "ranking/simd.h"
 
 namespace fairjob {
 namespace {
 
-using fagin_internal::Better;
-using fagin_internal::BuildAllowedBitmap;
-using fagin_internal::IsAllowed;
-using fagin_internal::SortResults;
-using fagin_internal::ThresholdBound;
-using fagin_internal::UniverseOf;
-using fagin_internal::ValidateTopK;
+// True when `a` should rank ahead of `b` for the requested direction.
+bool Better(double a, double b, RankDirection dir) {
+  return dir == RankDirection::kMostUnfair ? a > b : a < b;
+}
+
+// Final ordering of every lane's output: best-first for the direction, ties
+// by ascending position. A total order, so the result is deterministic
+// however the candidate set was produced.
+void SortResults(std::vector<ScoredEntry>* out, RankDirection dir) {
+  std::sort(out->begin(), out->end(),
+            [dir](const ScoredEntry& a, const ScoredEntry& b) {
+              if (a.value != b.value) return Better(a.value, b.value, dir);
+              return a.pos < b.pos;
+            });
+}
+
+// Bound on the aggregate of any id never returned by sorted access so far —
+// TA's termination bound. Pure in (lists, cursors, direction, missing), so
+// every TA lane sharing the cursors shares the bound.
+double ThresholdBound(const std::vector<const InvertedIndex*>& lists,
+                      const std::vector<size_t>& cursors,
+                      const TopKOptions& opt) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  bool most = opt.direction == RankDirection::kMostUnfair;
+  if (opt.missing == MissingCellPolicy::kSkip) {
+    double bound = most ? -kInf : kInf;
+    for (size_t i = 0; i < lists.size(); ++i) {
+      if (cursors[i] >= lists[i]->size()) continue;  // exhausted: no unseen ids
+      size_t next = most ? cursors[i] : lists[i]->size() - 1 - cursors[i];
+      double frontier = lists[i]->entry(next).value;
+      bound = most ? std::max(bound, frontier) : std::min(bound, frontier);
+    }
+    return bound;
+  }
+  // kZero: average of per-list bounds; a missing cell contributes exactly 0.
+  double sum = 0.0;
+  for (size_t i = 0; i < lists.size(); ++i) {
+    if (cursors[i] >= lists[i]->size()) continue;  // per-list bound is 0
+    size_t next = most ? cursors[i] : lists[i]->size() - 1 - cursors[i];
+    double frontier = lists[i]->entry(next).value;
+    sum += most ? std::max(frontier, 0.0) : std::min(frontier, 0.0);
+  }
+  return sum / static_cast<double>(lists.size());
+}
+
+// Extent of the position space: every entry pos of every list lies in
+// [0, universe). An understated hint is corrected from the lists.
+size_t UniverseOf(const std::vector<const InvertedIndex*>& lists,
+                  size_t hint) {
+  size_t universe = hint;
+  for (const InvertedIndex* list : lists) {
+    universe = std::max(universe, list->dense_size());
+  }
+  return universe;
+}
+
+// Materializes TopKOptions::allowed into a position-indexed byte bitmap
+// inside `scratch`. Returns nullptr when every position is allowed, so the
+// hot loops keep a single branch.
+const uint8_t* BuildAllowedBitmap(const std::vector<int32_t>* allowed,
+                                  size_t universe,
+                                  std::vector<uint8_t>* scratch) {
+  if (allowed == nullptr) return nullptr;
+  scratch->assign(universe, 0);
+  for (int32_t pos : *allowed) {
+    if (pos >= 0 && static_cast<size_t>(pos) < universe) {
+      (*scratch)[static_cast<size_t>(pos)] = 1;
+    }
+  }
+  return scratch->data();
+}
+
+// `pos` must lie in [0, universe) — true for every position read from a
+// list entry.
+bool IsAllowed(const uint8_t* allowed, int32_t pos) {
+  return allowed == nullptr || allowed[static_cast<size_t>(pos)] != 0;
+}
+
+// Metric label of each algorithm: lanes publish under fagin.<label>.*.
+const char* MetricLabel(TopKAlgorithm algorithm) {
+  static const char* const kLabels[] = {"ta", "fa", "nra", "scan"};
+  return kLabels[static_cast<size_t>(algorithm)];
+}
 
 // FNV-1a over the exact selector sequences; bucket collisions fall back to
 // SameSelectorGroup.
@@ -45,18 +123,15 @@ bool SameSelectorGroup(const QuantificationRequest& a,
          a.agg2.positions == b.agg2.positions;
 }
 
-// Lazily-filled per-position (sum, present-count) over the group's lists —
-// the quantity DenseAggregate/ScoreCandidates recompute per candidate. The
-// aggregate of a position depends only on the group's lists and the missing
-// policy, never on the lane (k, direction and allowed filters decide which
-// positions get scored, not what they score), so one computation serves
-// every TA random access, FA phase-2 sweep and NRA epilogue in the group.
-// The sum accumulates in list order — the exact FP order DenseAggregate
-// uses — and the policy division happens fresh per call, so memoized
-// answers are bitwise-identical to per-request ones. Counter increments
-// (one random/dense access per list) are replayed on every call whether or
-// not the value was cached: stats record what the per-request engine would
-// have done, not how much work the memo saved.
+// Lazily-filled per-position (sum, present-count) over the group's lists,
+// the aggregate every TA random access, FA phase-2 sweep and NRA epilogue
+// needs. It depends only on the lists and the missing policy, never on the
+// lane, so one computation serves every random-access lane in the group.
+// The sum accumulates in list order and the policy division happens fresh
+// per call, so memoized answers are bitwise-identical to direct ones. Each
+// call counts one random access per list whether or not the value was
+// cached: stats record the algorithm's accesses, not how much work the memo
+// saved.
 class ScoreMemo {
  public:
   ScoreMemo(const std::vector<const InvertedIndex*>& lists, size_t universe)
@@ -65,12 +140,11 @@ class ScoreMemo {
         counts_(universe, 0),
         known_(universe, 0) {}
 
-  // DenseAggregate semantics: bumps random/dense accesses, nullopt when the
-  // position is present in no list; the caller owns ids_scored.
+  // Bumps random_accesses; nullopt when the position is present in no list;
+  // the caller owns ids_scored.
   std::optional<double> Aggregate(int32_t pos, MissingCellPolicy policy,
                                   FaginStats* stats) {
     stats->random_accesses += lists_.size();
-    stats->dense_accesses += lists_.size();
     const size_t p = static_cast<size_t>(pos);
     if (known_[p] == 0) {
       double sum = 0.0;
@@ -100,24 +174,32 @@ class ScoreMemo {
   std::vector<uint8_t> known_;
 };
 
-// One valid request inside a selector group: its engine options, the output
-// slots, and the lane-local allowed bitmap.
+// One valid request: its algorithm and options, the lane-local allowed
+// bitmap, and its outputs.
 struct Lane {
   size_t request_index = 0;
+  TopKAlgorithm algorithm = TopKAlgorithm::kThresholdAlgorithm;
   TopKOptions options;
   FaginStats stats;
-  std::vector<ScoredEntry> entries;  // engine output, pre-axis-id mapping
+  std::vector<ScoredEntry> entries;  // lane output, pre-axis-id mapping
   std::vector<uint8_t> allowed_scratch;
   const uint8_t* allowed = nullptr;
 };
 
-// Engine-eligibility checks with exactly the per-request precedence and
-// messages: ValidateTopK first (all engines), then NRA's policy, direction
-// and width restrictions in FaginNRA's order.
-Status ValidateForEngine(TopKAlgorithm algorithm,
-                         const std::vector<const InvertedIndex*>& lists,
-                         const TopKOptions& options) {
-  FAIRJOB_RETURN_IF_ERROR(ValidateTopK(lists, options.k));
+// Request-shape checks: k and the lists for every algorithm, then NRA's
+// policy, direction and width restrictions, in that order.
+Status ValidateLane(TopKAlgorithm algorithm,
+                    const std::vector<const InvertedIndex*>& lists,
+                    const TopKOptions& options) {
+  if (options.k == 0) return Status::InvalidArgument("k must be positive");
+  if (lists.empty()) {
+    return Status::InvalidArgument("top-k needs at least one inverted list");
+  }
+  for (const InvertedIndex* list : lists) {
+    if (list == nullptr) {
+      return Status::InvalidArgument("null inverted list");
+    }
+  }
   if (algorithm == TopKAlgorithm::kNRA) {
     if (options.missing != MissingCellPolicy::kZero) {
       return Status::InvalidArgument(
@@ -139,10 +221,9 @@ Status ValidateForEngine(TopKAlgorithm algorithm,
 // One shared, unfiltered accumulation pass over every list entry answers
 // all scan lanes of the group. An entry at position p only ever contributes
 // to sums[p], and lists are visited in order, so each position's sum
-// accumulates in exactly the same FP order as the per-request scan — lane
-// filters only decide which positions are *emitted*, never what their sums
-// are. Sequential cost O(lanes × total entries) drops to
-// O(total entries + lanes × universe).
+// accumulates in list order whatever else shares the pass — lane filters
+// only decide which positions are *emitted*, never what their sums are.
+// Cost O(total entries + lanes × universe).
 void RunScanLanes(const std::vector<const InvertedIndex*>& lists,
                   size_t universe, const std::vector<Lane*>& lanes) {
   const size_t num_lists = lists.size();
@@ -205,10 +286,9 @@ void RunScanLanes(const std::vector<const InvertedIndex*>& lists,
             ScoredEntry{static_cast<int32_t>(pos), sums[pos] / denom});
       }
     }
-    // Per-request counter semantics: one random (dense) access per list per
-    // emitted candidate, one ids_scored each.
+    // Counted as if each emitted candidate were scored by random access:
+    // one access per list, one ids_scored each.
     stats->random_accesses += emitted * num_lists;
-    stats->dense_accesses += emitted * num_lists;
     stats->ids_scored += emitted;
     SortResults(&out, lane->options.direction);
     if (out.size() > lane->options.k) out.resize(lane->options.k);
@@ -216,11 +296,10 @@ void RunScanLanes(const std::vector<const InvertedIndex*>& lists,
 }
 
 // --- TA lanes ------------------------------------------------------------
-// In per-request TA the cursors advance identically every round regardless
-// of k / allowed / missing — only the direction changes the access pattern.
-// So all TA lanes of one direction share the round-robin sorted access:
-// each list entry is read once per round and delivered to every active
-// lane in list order (the same order DenseAggregate sees per request).
+// TA's cursors advance identically every round regardless of k / allowed /
+// missing — only the direction changes the access pattern. So all TA lanes
+// of one direction share the round-robin sorted access: each list entry is
+// read once per round and delivered to every active lane in list order.
 // Threshold bounds are pure in (cursors, missing, direction) and cursors
 // are shared, so they are memoized per missing policy within a round, and
 // candidate scores come from the group ScoreMemo.
@@ -311,11 +390,10 @@ void RunTaLanes(const std::vector<const InvertedIndex*>& lists,
 // --- FA lanes ------------------------------------------------------------
 // Phase 1 (round-robin sorted access) is shared per direction exactly like
 // TA; each lane keeps its own seen counts and stops when k ids are complete
-// on every list (kZero only). Phase 2 sweeps each lane's candidates in
-// ascending position order — the order ScoreCandidates emits — against the
-// group ScoreMemo, with ScoreCandidates' exact counter semantics (one
-// random/dense access per list per candidate, ids_scored only when the
-// position is present somewhere).
+// on every list (kZero only). Phase 2 scores each lane's candidates in
+// ascending position order against the group ScoreMemo (one random access
+// per list per candidate, ids_scored only when the position is present
+// somewhere).
 void RunFaLanes(const std::vector<const InvertedIndex*>& lists,
                 size_t universe, RankDirection direction,
                 const std::vector<Lane*>& lanes, ScoreMemo* memo) {
@@ -386,11 +464,23 @@ void RunFaLanes(const std::vector<const InvertedIndex*>& lists,
 }
 
 // --- NRA lanes -----------------------------------------------------------
-// Direct multi-lane transcription of FaginNRA: the sorted access (always
+// Per seen position a lane keeps the sum of its known entries and a bitmask
+// of the lists that delivered them. An unknown entry of list i is missing
+// (0 under kZero) or lies between the list's tail and its frontier, so the
+// lower bound adds min(0, tail_i) and the upper bound max(0, frontier_i) for
+// every unknown list. A lane stops once its k-th best lower bound reaches
+// every other position's upper bound, then resolves exact aggregates for
+// its k positions by random access; if the lists run out first, the known
+// sums are complete and are returned as they are. The sorted access (always
 // from the top — NRA is kMostUnfair + kZero only) and the per-round
-// frontier bounds are shared, the bound bookkeeping is per lane. The
-// `monotone` fast path depends only on the lists, so it is decided once for
-// the whole group.
+// frontier bounds are shared, the bound bookkeeping is per lane.
+//
+// Lower bounds are compared under the total order (value desc, pos asc), so
+// the current top-k set is unique. When no list holds a negative value the
+// bounds never decrease, and the top-k is maintained incrementally from the
+// positions touched per round; otherwise it is reselected per check. That
+// `monotone` choice depends only on the lists, so it is made once per
+// group.
 void RunNraLanes(const std::vector<const InvertedIndex*>& lists,
                  size_t universe, const std::vector<Lane*>& lanes,
                  ScoreMemo* memo) {
@@ -415,13 +505,22 @@ void RunNraLanes(const std::vector<const InvertedIndex*>& lists,
     if (a.first != b.first) return a.first > b.first;
     return a.second < b.second;
   };
+  std::vector<double> floors(num_lists, 0.0);  // min(0, tail) per list
   bool monotone = true;
-  for (const InvertedIndex* list : lists) {
-    if (!list->empty() && list->entry(list->size() - 1).value < 0.0) {
-      monotone = false;
-      break;
+  for (size_t i = 0; i < num_lists; ++i) {
+    if (!lists[i]->empty()) {
+      floors[i] = std::min(lists[i]->entry(lists[i]->size() - 1).value, 0.0);
     }
+    if (floors[i] < 0.0) monotone = false;
   }
+  auto lower_bound_of = [&](double known_sum, uint64_t known_mask) {
+    if (monotone) return known_sum / denom;  // every floor is 0
+    double floor = 0.0;
+    for (size_t i = 0; i < num_lists; ++i) {
+      if ((known_mask & (1ull << i)) == 0) floor += floors[i];
+    }
+    return (known_sum + floor) / denom;
+  };
 
   std::vector<NraState> states;
   states.reserve(lanes.size());
@@ -438,7 +537,7 @@ void RunNraLanes(const std::vector<const InvertedIndex*>& lists,
   std::vector<size_t> cursors(num_lists, 0);
   std::vector<double> frontiers(num_lists, 0.0);
   // The entries read this round: every active lane replays them in list
-  // order, exactly the order its per-request run would have seen.
+  // order.
   std::vector<std::pair<size_t, const ScoredEntry*>> reads;
   size_t active = states.size();
   while (active > 0) {
@@ -463,8 +562,8 @@ void RunNraLanes(const std::vector<const InvertedIndex*>& lists,
         const size_t p = static_cast<size_t>(e->pos);
         if (s.known_mask[p] == 0) s.seen_positions.push_back(e->pos);
         s.known_sum[p] += e->value;
-        s.lower_bound[p] = s.known_sum[p] / denom;
         s.known_mask[p] |= (1ull << i);
+        s.lower_bound[p] = lower_bound_of(s.known_sum[p], s.known_mask[p]);
         if (s.top_built) s.touched.push_back(e->pos);
       }
       ++stats->rounds;
@@ -539,6 +638,10 @@ void RunNraLanes(const std::vector<const InvertedIndex*>& lists,
         }
       }
 
+      // Upper bound of any position outside the current top-k, seen or not
+      // (a position never seen may still hold every frontier). The max is
+      // taken over raw sums and divided once: correctly rounded division by
+      // a positive constant is monotone, so it commutes with max.
       double outside_upper_raw = frontier_sum;
       for (int32_t pos : s.seen_positions) {
         const size_t p = static_cast<size_t>(pos);
@@ -591,7 +694,128 @@ void RunNraLanes(const std::vector<const InvertedIndex*>& lists,
   }
 }
 
+// Runs every lane over one group's lists: one pass per (algorithm,
+// direction), in a fixed order. Each lane publishes fagin.<algorithm>.*
+// with the wall time of the pass it ran in (for a single lane, its own
+// latency).
+void RunLanes(const std::vector<const InvertedIndex*>& lists,
+              size_t universe, std::vector<Lane>* lanes,
+              BatchExecStats* exec_stats) {
+  enum Pass { kScan, kTaMost, kTaLeast, kFaMost, kFaLeast, kNra, kPasses };
+  static const char* const kSpanNames[kPasses] = {
+      "ScanLanes", "TaLanes", "TaLanes", "FaLanes", "FaLanes", "NraLanes"};
+  std::vector<Lane*> passes[kPasses];
+  for (Lane& lane : *lanes) {
+    lane.allowed = BuildAllowedBitmap(lane.options.allowed, universe,
+                                      &lane.allowed_scratch);
+    const bool most = lane.options.direction == RankDirection::kMostUnfair;
+    switch (lane.algorithm) {
+      case TopKAlgorithm::kScan:
+        passes[kScan].push_back(&lane);
+        break;
+      case TopKAlgorithm::kThresholdAlgorithm:
+        passes[most ? kTaMost : kTaLeast].push_back(&lane);
+        break;
+      case TopKAlgorithm::kFA:
+        passes[most ? kFaMost : kFaLeast].push_back(&lane);
+        break;
+      case TopKAlgorithm::kNRA:
+        passes[kNra].push_back(&lane);
+        break;
+    }
+  }
+  exec_stats->scan_lanes += passes[kScan].size();
+  exec_stats->ta_lanes += passes[kTaMost].size() + passes[kTaLeast].size();
+  exec_stats->fa_lanes += passes[kFaMost].size() + passes[kFaLeast].size();
+  exec_stats->nra_lanes += passes[kNra].size();
+  if (!passes[kScan].empty()) ++exec_stats->shared_scan_passes;
+
+  // Scan lanes never random-access; a scan-only group builds no memo.
+  std::optional<ScoreMemo> memo;
+  if (passes[kScan].size() < lanes->size()) memo.emplace(lists, universe);
+  const bool timed = MetricsRegistry::Global().enabled();
+  for (int pass = 0; pass < kPasses; ++pass) {
+    const std::vector<Lane*>& members = passes[pass];
+    if (members.empty()) continue;
+    const auto start = timed ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point{};
+    {
+      TraceSpan span(kSpanNames[pass], "fagin");
+      switch (pass) {
+        case kScan:
+          RunScanLanes(lists, universe, members);
+          break;
+        case kTaMost:
+        case kTaLeast:
+          RunTaLanes(lists, universe, members.front()->options.direction,
+                     members, &*memo);
+          break;
+        case kFaMost:
+        case kFaLeast:
+          RunFaLanes(lists, universe, members.front()->options.direction,
+                     members, &*memo);
+          break;
+        case kNra:
+          RunNraLanes(lists, universe, members, &*memo);
+          break;
+      }
+    }
+    if (!timed) continue;
+    const double elapsed_us = std::chrono::duration<double, std::micro>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+    for (const Lane* lane : members) {
+      RecordFaginMetrics(MetricLabel(lane->algorithm), lane->stats,
+                         elapsed_us);
+    }
+  }
+}
+
 }  // namespace
+
+void RecordFaginMetrics(const char* algorithm, const FaginStats& stats,
+                        double elapsed_us) {
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  if (!metrics.enabled()) return;
+  std::string prefix = std::string("fagin.") + algorithm;
+  metrics.counter(prefix + ".runs")->Add(1);
+  metrics.counter(prefix + ".sorted_accesses")->Add(stats.sorted_accesses);
+  metrics.counter(prefix + ".random_accesses")->Add(stats.random_accesses);
+  metrics.counter(prefix + ".ids_scored")->Add(stats.ids_scored);
+  metrics.counter(prefix + ".rounds")->Add(stats.rounds);
+  metrics.counter(prefix + ".threshold_checks")->Add(stats.threshold_checks);
+  metrics.histogram(prefix + ".latency_us")->Record(elapsed_us);
+}
+
+const char* TopKAlgorithmName(TopKAlgorithm algorithm) {
+  switch (algorithm) {
+    case TopKAlgorithm::kThresholdAlgorithm:
+      return "TA";
+    case TopKAlgorithm::kFA:
+      return "FA";
+    case TopKAlgorithm::kNRA:
+      return "NRA";
+    case TopKAlgorithm::kScan:
+      return "scan";
+  }
+  return "?";
+}
+
+Result<std::vector<ScoredEntry>> RunTopK(
+    TopKAlgorithm algorithm, const std::vector<const InvertedIndex*>& lists,
+    const TopKOptions& options, FaginStats* stats) {
+  FAIRJOB_RETURN_IF_ERROR(ValidateLane(algorithm, lists, options));
+  std::vector<Lane> lanes(1);
+  lanes[0].algorithm = algorithm;
+  lanes[0].options = options;
+  // Lanes add to their stats, so a caller's counts accumulate across runs.
+  if (stats != nullptr) lanes[0].stats = *stats;
+  BatchExecStats exec_stats;
+  RunLanes(lists, UniverseOf(lists, options.universe_hint), &lanes,
+           &exec_stats);
+  if (stats != nullptr) *stats = lanes[0].stats;
+  return std::move(lanes[0].entries);
+}
 
 std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
     const UnfairnessCube& cube, const IndexSet& indices,
@@ -606,7 +830,8 @@ std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
   std::vector<Status> errors(requests.size());
   std::vector<QuantificationResult> values(requests.size());
 
-  // Group valid requests by exact selector sequence (see header).
+  // Group valid requests by exact selector sequence (see header). A lone
+  // request is its own group; only real batches pay for the bucket map.
   struct Group {
     std::vector<size_t> members;  // request indices, in arrival order
   };
@@ -619,17 +844,21 @@ std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
       ++exec_stats->invalid;
       continue;
     }
-    std::vector<size_t>& bucket = buckets[SelectorHash(requests[i])];
     size_t group_index = groups.size();
-    for (size_t g : bucket) {
-      if (SameSelectorGroup(requests[groups[g].members.front()], requests[i])) {
-        group_index = g;
-        break;
+    std::vector<size_t>* bucket = nullptr;
+    if (requests.size() > 1) {
+      bucket = &buckets[SelectorHash(requests[i])];
+      for (size_t g : *bucket) {
+        if (SameSelectorGroup(requests[groups[g].members.front()],
+                              requests[i])) {
+          group_index = g;
+          break;
+        }
       }
     }
     if (group_index == groups.size()) {
       groups.push_back(Group{});
-      bucket.push_back(group_index);
+      if (bucket != nullptr) bucket->push_back(group_index);
     }
     groups[group_index].members.push_back(i);
   }
@@ -644,95 +873,33 @@ std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
     const size_t universe =
         UniverseOf(lists, cube.axis_size(representative.target));
 
-    // Build the group's lanes; engine-invalid requests error out here with
-    // exactly the per-request status (their per-request run would have
-    // gathered the lists too, so they still count as demand).
+    // Build the group's lanes; requests the lanes cannot run error out here
+    // (they still count as demand: answering them alone would have
+    // gathered the lists too).
     std::vector<Lane> lanes;
     lanes.reserve(group.members.size());
     for (size_t i : group.members) {
       const QuantificationRequest& request = requests[i];
       exec_stats->lists_demanded += lists.size();
-      TopKOptions options;
-      options.k = request.k;
-      options.direction = request.direction;
-      options.missing = request.missing;
-      options.allowed = request.allowed_targets.empty()
-                            ? nullptr
-                            : &request.allowed_targets;
-      options.universe_hint = cube.axis_size(request.target);
-      Status valid = ValidateForEngine(request.algorithm, lists, options);
+      Lane lane;
+      lane.request_index = i;
+      lane.algorithm = request.algorithm;
+      lane.options.k = request.k;
+      lane.options.direction = request.direction;
+      lane.options.missing = request.missing;
+      lane.options.allowed = request.allowed_targets.empty()
+                                 ? nullptr
+                                 : &request.allowed_targets;
+      lane.options.universe_hint = cube.axis_size(request.target);
+      Status valid = ValidateLane(lane.algorithm, lists, lane.options);
       if (!valid.ok()) {
         errors[i] = std::move(valid);
         ++exec_stats->invalid;
         continue;
       }
-      Lane lane;
-      lane.request_index = i;
-      lane.options = options;
       lanes.push_back(std::move(lane));
     }
-    // Materialize filters after the lanes vector is final (Lane::allowed
-    // points into the lane's own scratch).
-    for (Lane& lane : lanes) {
-      lane.allowed =
-          BuildAllowedBitmap(lane.options.allowed, universe,
-                             &lane.allowed_scratch);
-    }
-
-    std::vector<Lane*> scan_lanes;
-    std::vector<Lane*> ta_most;
-    std::vector<Lane*> ta_least;
-    std::vector<Lane*> fa_most;
-    std::vector<Lane*> fa_least;
-    std::vector<Lane*> nra_lanes;
-    for (Lane& lane : lanes) {
-      const bool most =
-          lane.options.direction == RankDirection::kMostUnfair;
-      switch (requests[lane.request_index].algorithm) {
-        case TopKAlgorithm::kScan:
-          scan_lanes.push_back(&lane);
-          break;
-        case TopKAlgorithm::kThresholdAlgorithm:
-          (most ? ta_most : ta_least).push_back(&lane);
-          break;
-        case TopKAlgorithm::kFA:
-          (most ? fa_most : fa_least).push_back(&lane);
-          break;
-        case TopKAlgorithm::kNRA:
-          nra_lanes.push_back(&lane);
-          break;
-      }
-    }
-    exec_stats->scan_lanes += scan_lanes.size();
-    exec_stats->ta_lanes += ta_most.size() + ta_least.size();
-    exec_stats->fa_lanes += fa_most.size() + fa_least.size();
-    exec_stats->nra_lanes += nra_lanes.size();
-
-    if (!scan_lanes.empty()) {
-      ++exec_stats->shared_scan_passes;
-      RunScanLanes(lists, universe, scan_lanes);
-    }
-    // One score memo per group: TA random accesses, FA phase-2 sweeps and
-    // NRA epilogues all aggregate the same lists, so each position's
-    // (sum, count) is computed at most once across every random-access lane.
-    ScoreMemo memo(lists, universe);
-    if (!ta_most.empty()) {
-      RunTaLanes(lists, universe, RankDirection::kMostUnfair, ta_most, &memo);
-    }
-    if (!ta_least.empty()) {
-      RunTaLanes(lists, universe, RankDirection::kLeastUnfair, ta_least,
-                 &memo);
-    }
-    if (!fa_most.empty()) {
-      RunFaLanes(lists, universe, RankDirection::kMostUnfair, fa_most, &memo);
-    }
-    if (!fa_least.empty()) {
-      RunFaLanes(lists, universe, RankDirection::kLeastUnfair, fa_least,
-                 &memo);
-    }
-    if (!nra_lanes.empty()) {
-      RunNraLanes(lists, universe, nra_lanes, &memo);
-    }
+    RunLanes(lists, universe, &lanes, exec_stats);
 
     for (Lane& lane : lanes) {
       const QuantificationRequest& request = requests[lane.request_index];

@@ -43,21 +43,26 @@ struct BatchExecStats {
 //    entries (a position's sum is independent of every other position, so
 //    lane filters only select which positions are emitted);
 //  * TA / FA lanes of the same direction share the round-robin sorted
-//    access — cursors advance identically in the per-request engines, so
-//    each entry is read once per round and delivered to every active lane;
+//    access — their cursors advance identically whatever the lane's k,
+//    policy or filter, so each entry is read once per round and delivered
+//    to every active lane;
 //  * NRA lanes share the sorted access and the per-round frontier bounds,
 //    keeping per-lane bound state.
+//
+// This is the one Top-K engine: SolveQuantification is a batch of one and
+// RunTopK (core/fagin.h) a single lane over hand-built lists.
 //
 // Contract: results[i] is bitwise-identical to
 // SolveQuantification(cube, indices, requests[i]) — same answers (bit-equal
 // values, same order), same FaginStats, same error codes and messages, for
-// every request independently of what else is in the batch. The per-request
-// path stays the differential reference (tests/batch_exec_test.cc,
-// bench_batch_exec's identity gate).
+// every request independently of what else is in the batch
+// (tests/batch_exec_test.cc, bench_batch_exec's identity gate). Answers are
+// checked against a brute-force oracle (tests/topk_oracle.h) and FaginStats
+// against pinned digests (tests/topk_oracle_test.cc).
 //
-// Unlike the per-request engines, batch lanes do not publish
-// fagin.<algorithm>.* metrics (a shared pass has no meaningful per-lane
-// latency); the serving layer publishes serve.batch.* from `stats` instead.
+// Every lane publishes fagin.<algorithm>.* metrics, with latency_us the wall
+// time of the shared pass it ran in; the serving layer adds serve.batch.*
+// from `stats`.
 std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
     const UnfairnessCube& cube, const IndexSet& indices,
     const std::vector<QuantificationRequest>& requests,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <unordered_set>
 
 #include "common/metrics.h"
 
@@ -123,9 +122,10 @@ Result<CrawlReport> Crawler::CrawlQueries(
 
 Status Crawler::CollectProfiles(const std::vector<CrawlRecord>& records,
                                 ProfileStore* store, CrawlReport* report) {
-  std::unordered_set<std::string> wanted;
-  for (const CrawlRecord& r : records) wanted.insert(r.worker_name);
-  for (const std::string& worker : wanted) {
+  // Crawl order, so which labeling draws each worker gets depends on the
+  // crawl alone; the store skips workers already fetched.
+  for (const CrawlRecord& r : records) {
+    const std::string& worker = r.worker_name;
     if (store->Contains(worker)) continue;
     Result<RawProfile> profile = FetchWithRetry<RawProfile>(
         [&] { return site_->FetchProfile(worker); }, report);

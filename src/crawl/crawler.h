@@ -87,8 +87,8 @@ class Crawler {
   Status CrawlQuery(const std::string& job, const std::string& city,
                     CrawlReport* report);
 
-  // Fetches the profile of every distinct worker in `records` into `store`
-  // (skipping those already present).
+  // Fetches the profile of every distinct worker in `records` into `store`,
+  // in order of first appearance (skipping those already present).
   Status CollectProfiles(const std::vector<CrawlRecord>& records,
                          ProfileStore* store, CrawlReport* report);
 

@@ -48,6 +48,29 @@ run_case(bad_algorithm 1 "unknown --algorithm 'bogus'"
          serve-bench --algorithm bogus --requests 10)
 run_case(unknown_flag_other_command 1 "unknown flag '--bogus'" topk --bogus 1)
 
+# --k must be at least 1 on every Top-K command (a negative value used to
+# wrap to a huge size_t and print every answer). The check runs before any
+# input is read, so the missing files below are never opened.
+file(WRITE "${CMAKE_CURRENT_BINARY_DIR}/cli_tiny_cube.csv"
+     "axis,group,0,g0\naxis,group,1,g1\naxis,group,2,g2\n"
+     "axis,query,0,q0\naxis,location,0,l0\n"
+     "cell,0,0,0,0.5\ncell,1,0,0,0.25\ncell,2,0,0,0.75\n")
+set(tiny_cube "${CMAKE_CURRENT_BINARY_DIR}/cli_tiny_cube.csv")
+run_case(topk_negative_k 1 "--k must be at least 1, got -1"
+         topk --cube ${tiny_cube} --dim group --k -1)
+run_case(topk_zero_k 1 "--k must be at least 1, got 0"
+         topk --cube ${tiny_cube} --dim group --k 0)
+run_case(topk_prints_k_answers 0 "g2 +0.7500\n +g0 +0.5000\n\\[TA:"
+         topk --cube ${tiny_cube} --dim group --k 2)
+run_case(topk_bad_algorithm 1 "unknown --algorithm 'bogus'"
+         topk --cube ${tiny_cube} --algorithm bogus)
+run_case(audit_negative_k 1 "--k must be at least 1, got -1"
+         audit --crawl missing.csv --workers missing.csv --k -1)
+run_case(audit_search_negative_k 1 "--k must be at least 1, got -1"
+         audit-search --runs missing.csv --users missing.csv --k -1)
+run_case(trend_negative_k 1 "--k must be at least 1, got -1"
+         trend --cube missing.csv --cube2 missing.csv --k -1)
+
 # A tiny serve-bench must succeed end to end and report the speedup line.
 run_case(serve_bench_smoke 0 "hot/cold speedup:"
          serve-bench --requests 80 --keyspace 8 --workers 40 --cities 2)

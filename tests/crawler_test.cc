@@ -225,6 +225,41 @@ TEST(CrawlerTest, CollectProfilesDeduplicates) {
   EXPECT_TRUE(store.Contains("w2"));
 }
 
+// Profiles are fetched in order of first appearance in the records, so the
+// store order (and the labeling draws that follow it) depends on the crawl
+// alone.
+TEST(CrawlerTest, CollectProfilesFollowsCrawlOrder) {
+  FakeSite site;
+  site.AddQuery("NYC", "cleaning", {"w5", "w1", "w9"});
+  site.AddQuery("NYC", "moving", {"w1", "w0", "w5", "w7"});
+  site.AddQuery("Boston", "cleaning", {"w3", "w9", "w2"});
+  VirtualClock clock;
+  Crawler crawler(&site, &clock, CrawlerConfig{});
+  Result<CrawlReport> report = crawler.CrawlAll();
+  ASSERT_TRUE(report.ok());
+
+  std::vector<std::string> first_seen;
+  for (const CrawlRecord& r : report->records) {
+    if (std::find(first_seen.begin(), first_seen.end(), r.worker_name) ==
+        first_seen.end()) {
+      first_seen.push_back(r.worker_name);
+    }
+  }
+  ProfileStore store;
+  RawProfile known;
+  known.worker_name = "w0";
+  ASSERT_TRUE(store.Upsert(known).ok());
+  ASSERT_TRUE(crawler.CollectProfiles(report->records, &store, nullptr).ok());
+  ASSERT_EQ(store.size(), first_seen.size());
+  // w0 was already present: it keeps its slot and is not fetched again.
+  EXPECT_EQ(site.profile_calls, first_seen.size() - 1);
+  std::vector<std::string> order;
+  for (const RawProfile& p : store.profiles()) order.push_back(p.worker_name);
+  first_seen.erase(std::find(first_seen.begin(), first_seen.end(), "w0"));
+  first_seen.insert(first_seen.begin(), "w0");
+  EXPECT_EQ(order, first_seen);
+}
+
 TEST(CrawlRecordsCsvTest, RoundTrip) {
   std::vector<CrawlRecord> records = {
       {"cleaning", "NYC", 1, "w0"},

@@ -1,4 +1,4 @@
-#include "core/fagin_family.h"
+#include "core/fagin.h"
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,18 @@ std::vector<const InvertedIndex*> Pointers(
   std::vector<const InvertedIndex*> out;
   for (const InvertedIndex& list : lists) out.push_back(&list);
   return out;
+}
+
+Result<std::vector<ScoredEntry>> Fa(
+    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
+    FaginStats* stats = nullptr) {
+  return RunTopK(TopKAlgorithm::kFA, lists, options, stats);
+}
+
+Result<std::vector<ScoredEntry>> Nra(
+    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
+    FaginStats* stats = nullptr) {
+  return RunTopK(TopKAlgorithm::kNRA, lists, options, stats);
 }
 
 std::vector<InvertedIndex> RandomLists(size_t universe, size_t num_lists,
@@ -41,22 +53,22 @@ TEST(TopKAlgorithmTest, NamesAreStable) {
   EXPECT_STREQ(TopKAlgorithmName(TopKAlgorithm::kScan), "scan");
 }
 
-TEST(FaginFATest, ValidatesInput) {
+TEST(TopKFATest, ValidatesInput) {
   InvertedIndex list({{0, 1.0}});
   TopKOptions options;
   options.k = 0;
-  EXPECT_FALSE(FaginFA({&list}, options).ok());
+  EXPECT_FALSE(Fa({&list}, options).ok());
   options.k = 1;
-  EXPECT_FALSE(FaginFA({}, options).ok());
+  EXPECT_FALSE(Fa({}, options).ok());
 }
 
-TEST(FaginFATest, SimpleTopK) {
+TEST(TopKFATest, SimpleTopK) {
   std::vector<InvertedIndex> lists;
   lists.emplace_back(std::vector<ScoredEntry>{{0, 0.2}, {1, 0.8}, {2, 0.5}});
   lists.emplace_back(std::vector<ScoredEntry>{{0, 0.4}, {1, 0.6}, {2, 0.1}});
   TopKOptions options;
   options.k = 2;
-  Result<std::vector<ScoredEntry>> top = FaginFA(Pointers(lists), options);
+  Result<std::vector<ScoredEntry>> top = Fa(Pointers(lists), options);
   ASSERT_TRUE(top.ok());
   ASSERT_EQ(top->size(), 2u);
   EXPECT_EQ((*top)[0].pos, 1);
@@ -66,7 +78,7 @@ TEST(FaginFATest, SimpleTopK) {
   EXPECT_DOUBLE_EQ((*top)[1].value, 0.3);
 }
 
-TEST(FaginFATest, StopsEarlyOnSkewedLists) {
+TEST(TopKFATest, StopsEarlyOnSkewedLists) {
   std::vector<ScoredEntry> entries;
   for (int32_t i = 0; i < 500; ++i) entries.push_back({i, 1.0 / (1.0 + i)});
   std::vector<InvertedIndex> lists;
@@ -77,39 +89,39 @@ TEST(FaginFATest, StopsEarlyOnSkewedLists) {
   options.missing = MissingCellPolicy::kZero;
   FaginStats stats;
   Result<std::vector<ScoredEntry>> top =
-      FaginFA(Pointers(lists), options, &stats);
+      Fa(Pointers(lists), options, &stats);
   ASSERT_TRUE(top.ok());
   // Identical lists: 3 complete ids after 3 rounds.
   EXPECT_LE(stats.sorted_accesses, 10u);
   EXPECT_EQ((*top)[0].pos, 0);
 }
 
-TEST(FaginNRATest, RejectsUnsupportedModes) {
+TEST(TopKNRATest, RejectsUnsupportedModes) {
   InvertedIndex list({{0, 1.0}});
   TopKOptions options;
   options.k = 1;
   options.missing = MissingCellPolicy::kSkip;
-  EXPECT_FALSE(FaginNRA({&list}, options).ok());
+  EXPECT_FALSE(Nra({&list}, options).ok());
   options.missing = MissingCellPolicy::kZero;
   options.direction = RankDirection::kLeastUnfair;
-  EXPECT_FALSE(FaginNRA({&list}, options).ok());
+  EXPECT_FALSE(Nra({&list}, options).ok());
 }
 
-TEST(FaginNRATest, SimpleTopK) {
+TEST(TopKNRATest, SimpleTopK) {
   std::vector<InvertedIndex> lists;
   lists.emplace_back(std::vector<ScoredEntry>{{0, 0.9}, {1, 0.8}, {2, 0.1}});
   lists.emplace_back(std::vector<ScoredEntry>{{0, 0.7}, {1, 0.2}, {2, 0.3}});
   TopKOptions options;
   options.k = 1;
   options.missing = MissingCellPolicy::kZero;
-  Result<std::vector<ScoredEntry>> top = FaginNRA(Pointers(lists), options);
+  Result<std::vector<ScoredEntry>> top = Nra(Pointers(lists), options);
   ASSERT_TRUE(top.ok());
   ASSERT_EQ(top->size(), 1u);
   EXPECT_EQ((*top)[0].pos, 0);
   EXPECT_DOUBLE_EQ((*top)[0].value, 0.8);  // exact aggregate, not a bound
 }
 
-TEST(FaginNRATest, TerminatesEarlyOnSkewedLists) {
+TEST(TopKNRATest, TerminatesEarlyOnSkewedLists) {
   std::vector<ScoredEntry> entries;
   for (int32_t i = 0; i < 2000; ++i) entries.push_back({i, 1.0 / (1.0 + i)});
   std::vector<InvertedIndex> lists;
@@ -120,14 +132,14 @@ TEST(FaginNRATest, TerminatesEarlyOnSkewedLists) {
   options.missing = MissingCellPolicy::kZero;
   FaginStats stats;
   Result<std::vector<ScoredEntry>> top =
-      FaginNRA(Pointers(lists), options, &stats);
+      Nra(Pointers(lists), options, &stats);
   ASSERT_TRUE(top.ok());
   EXPECT_LT(stats.sorted_accesses, 100u);
   EXPECT_EQ((*top)[0].pos, 0);
   EXPECT_EQ((*top)[1].pos, 1);
 }
 
-TEST(FaginNRATest, RejectsTooManyLists) {
+TEST(TopKNRATest, RejectsTooManyLists) {
   std::vector<InvertedIndex> lists;
   for (int i = 0; i < 65; ++i) {
     lists.emplace_back(std::vector<ScoredEntry>{{0, 0.5}});
@@ -135,7 +147,7 @@ TEST(FaginNRATest, RejectsTooManyLists) {
   TopKOptions options;
   options.k = 1;
   options.missing = MissingCellPolicy::kZero;
-  EXPECT_FALSE(FaginNRA(Pointers(lists), options).ok());
+  EXPECT_FALSE(Nra(Pointers(lists), options).ok());
 }
 
 // The whole family must agree with the scan (up to ties) wherever each
@@ -161,7 +173,7 @@ TEST_P(FaginFamilyEquivalenceTest, AllAlgorithmsMatchScan) {
     Result<std::vector<ScoredEntry>> got =
         RunTopK(algorithm, Pointers(lists), options);
     Result<std::vector<ScoredEntry>> want =
-        ScanTopK(Pointers(lists), options);
+        RunTopK(TopKAlgorithm::kScan, Pointers(lists), options);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok());
     ASSERT_EQ(got->size(), want->size()) << "trial " << trial;
@@ -179,7 +191,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1.0, 0.6)));
 
 // FA under kSkip (no early stop) and both directions still matches the scan.
-TEST(FaginFATest, SkipPolicyAndBottomKMatchScan) {
+TEST(TopKFATest, SkipPolicyAndBottomKMatchScan) {
   Rng rng(4242);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<InvertedIndex> lists = RandomLists(30, 4, 0.5, &rng);
@@ -189,9 +201,9 @@ TEST(FaginFATest, SkipPolicyAndBottomKMatchScan) {
       options.k = 4;
       options.direction = dir;
       options.missing = MissingCellPolicy::kSkip;
-      Result<std::vector<ScoredEntry>> fa = FaginFA(Pointers(lists), options);
+      Result<std::vector<ScoredEntry>> fa = Fa(Pointers(lists), options);
       Result<std::vector<ScoredEntry>> scan =
-          ScanTopK(Pointers(lists), options);
+          RunTopK(TopKAlgorithm::kScan, Pointers(lists), options);
       ASSERT_TRUE(fa.ok());
       ASSERT_TRUE(scan.ok());
       ASSERT_EQ(fa->size(), scan->size());

@@ -18,15 +18,27 @@ std::vector<const InvertedIndex*> Pointers(
   return out;
 }
 
+Result<std::vector<ScoredEntry>> Ta(
+    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
+    FaginStats* stats = nullptr) {
+  return RunTopK(TopKAlgorithm::kThresholdAlgorithm, lists, options, stats);
+}
+
+Result<std::vector<ScoredEntry>> Scan(
+    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
+    FaginStats* stats = nullptr) {
+  return RunTopK(TopKAlgorithm::kScan, lists, options, stats);
+}
+
 TEST(FaginTest, RejectsBadArguments) {
   InvertedIndex list({{0, 1.0}});
   TopKOptions options;
   options.k = 0;
-  EXPECT_FALSE(FaginTopK({&list}, options).ok());
-  EXPECT_FALSE(ScanTopK({&list}, options).ok());
+  EXPECT_FALSE(Ta({&list}, options).ok());
+  EXPECT_FALSE(Scan({&list}, options).ok());
   options.k = 1;
-  EXPECT_FALSE(FaginTopK({}, options).ok());
-  EXPECT_FALSE(FaginTopK({nullptr}, options).ok());
+  EXPECT_FALSE(Ta({}, options).ok());
+  EXPECT_FALSE(Ta({nullptr}, options).ok());
 }
 
 TEST(FaginTest, SingleListTopKIsPrefix) {
@@ -35,7 +47,7 @@ TEST(FaginTest, SingleListTopKIsPrefix) {
       std::vector<ScoredEntry>{{0, 0.1}, {1, 0.9}, {2, 0.5}, {3, 0.7}});
   TopKOptions options;
   options.k = 2;
-  Result<std::vector<ScoredEntry>> top = FaginTopK(Pointers(lists), options);
+  Result<std::vector<ScoredEntry>> top = Ta(Pointers(lists), options);
   ASSERT_TRUE(top.ok());
   ASSERT_EQ(top->size(), 2u);
   EXPECT_EQ((*top)[0].pos, 1);
@@ -50,7 +62,7 @@ TEST(FaginTest, SingleListBottomKIsSuffix) {
   TopKOptions options;
   options.k = 2;
   options.direction = RankDirection::kLeastUnfair;
-  Result<std::vector<ScoredEntry>> bottom = FaginTopK(Pointers(lists), options);
+  Result<std::vector<ScoredEntry>> bottom = Ta(Pointers(lists), options);
   ASSERT_TRUE(bottom.ok());
   ASSERT_EQ(bottom->size(), 2u);
   EXPECT_EQ((*bottom)[0].pos, 0);
@@ -63,7 +75,7 @@ TEST(FaginTest, AveragesAcrossLists) {
   lists.emplace_back(std::vector<ScoredEntry>{{0, 0.6}, {1, 0.0}});
   TopKOptions options;
   options.k = 2;
-  Result<std::vector<ScoredEntry>> top = FaginTopK(Pointers(lists), options);
+  Result<std::vector<ScoredEntry>> top = Ta(Pointers(lists), options);
   ASSERT_TRUE(top.ok());
   ASSERT_EQ(top->size(), 2u);
   // id 0: (0.2+0.6)/2 = 0.4; id 1: (0.8+0.0)/2 = 0.4 -> tie broken by pos.
@@ -80,12 +92,12 @@ TEST(FaginTest, MissingPolicySkipVsZero) {
   options.k = 1;
 
   options.missing = MissingCellPolicy::kSkip;
-  Result<std::vector<ScoredEntry>> skip = FaginTopK(Pointers(lists), options);
+  Result<std::vector<ScoredEntry>> skip = Ta(Pointers(lists), options);
   ASSERT_TRUE(skip.ok());
   EXPECT_EQ((*skip)[0].pos, 1);  // avg over present = 0.9 beats 0.4
 
   options.missing = MissingCellPolicy::kZero;
-  Result<std::vector<ScoredEntry>> zero = FaginTopK(Pointers(lists), options);
+  Result<std::vector<ScoredEntry>> zero = Ta(Pointers(lists), options);
   ASSERT_TRUE(zero.ok());
   EXPECT_EQ((*zero)[0].pos, 1);  // 0.9/2 = 0.45 still beats 0.4
   EXPECT_DOUBLE_EQ((*zero)[0].value, 0.45);
@@ -99,7 +111,7 @@ TEST(FaginTest, AllowedFilterRestrictsCandidates) {
   TopKOptions options;
   options.k = 2;
   options.allowed = &allowed;
-  Result<std::vector<ScoredEntry>> top = FaginTopK(Pointers(lists), options);
+  Result<std::vector<ScoredEntry>> top = Ta(Pointers(lists), options);
   ASSERT_TRUE(top.ok());
   ASSERT_EQ(top->size(), 2u);
   EXPECT_EQ((*top)[0].pos, 2);
@@ -111,7 +123,7 @@ TEST(FaginTest, KLargerThanUniverseReturnsEverything) {
   lists.emplace_back(std::vector<ScoredEntry>{{0, 0.5}, {1, 0.1}});
   TopKOptions options;
   options.k = 10;
-  Result<std::vector<ScoredEntry>> top = FaginTopK(Pointers(lists), options);
+  Result<std::vector<ScoredEntry>> top = Ta(Pointers(lists), options);
   ASSERT_TRUE(top.ok());
   EXPECT_EQ(top->size(), 2u);
 }
@@ -121,7 +133,7 @@ TEST(FaginTest, EmptyListsYieldEmptyResult) {
   lists.emplace_back(std::vector<ScoredEntry>{});
   TopKOptions options;
   options.k = 3;
-  Result<std::vector<ScoredEntry>> top = FaginTopK(Pointers(lists), options);
+  Result<std::vector<ScoredEntry>> top = Ta(Pointers(lists), options);
   ASSERT_TRUE(top.ok());
   EXPECT_TRUE(top->empty());
 }
@@ -140,9 +152,9 @@ TEST(FaginTest, EarlyTerminationDoesFewerAccessesThanScan) {
   FaginStats ta_stats;
   FaginStats scan_stats;
   Result<std::vector<ScoredEntry>> ta =
-      FaginTopK(Pointers(lists), options, &ta_stats);
+      Ta(Pointers(lists), options, &ta_stats);
   Result<std::vector<ScoredEntry>> scan =
-      ScanTopK(Pointers(lists), options, &scan_stats);
+      Scan(Pointers(lists), options, &scan_stats);
   ASSERT_TRUE(ta.ok());
   ASSERT_TRUE(scan.ok());
   EXPECT_LT(ta_stats.sorted_accesses, scan_stats.sorted_accesses / 10);
@@ -191,8 +203,8 @@ TEST_P(FaginEquivalenceTest, MatchesScanOnRandomInstances) {
     options.direction = direction;
     options.missing = missing;
 
-    Result<std::vector<ScoredEntry>> ta = FaginTopK(Pointers(lists), options);
-    Result<std::vector<ScoredEntry>> scan = ScanTopK(Pointers(lists), options);
+    Result<std::vector<ScoredEntry>> ta = Ta(Pointers(lists), options);
+    Result<std::vector<ScoredEntry>> scan = Scan(Pointers(lists), options);
     ASSERT_TRUE(ta.ok());
     ASSERT_TRUE(scan.ok());
     ASSERT_EQ(ta->size(), scan->size()) << "trial " << trial;

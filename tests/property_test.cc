@@ -149,8 +149,9 @@ TEST(MetamorphicTest, DuplicatedListInvariantUnderSkipPolicy) {
     TopKOptions options;
     options.k = 5;
     options.missing = MissingCellPolicy::kSkip;
-    auto once = *FaginTopK({&list}, options);
-    auto twice = *FaginTopK({&list, &list}, options);
+    const TopKAlgorithm ta = TopKAlgorithm::kThresholdAlgorithm;
+    auto once = *RunTopK(ta, {&list}, options);
+    auto twice = *RunTopK(ta, {&list, &list}, options);
     ASSERT_EQ(once.size(), twice.size());
     for (size_t i = 0; i < once.size(); ++i) {
       EXPECT_EQ(once[i].pos, twice[i].pos);

@@ -71,6 +71,26 @@ int Fail(const Status& status) {
   return 1;
 }
 
+// --k: how many answers a Top-K command prints. Must be at least 1 (a
+// negative value would otherwise wrap to a huge size_t and print all).
+Result<size_t> TopKFromFlags(const Flags& flags) {
+  Result<long> k = flags.GetInt("k", 5);
+  if (!k.ok()) return k.status();
+  if (*k < 1) {
+    return Status::InvalidArgument("--k must be at least 1, got " +
+                                   std::to_string(*k));
+  }
+  return static_cast<size_t>(*k);
+}
+
+Result<TopKAlgorithm> AlgorithmFromName(const std::string& name) {
+  if (name == "ta") return TopKAlgorithm::kThresholdAlgorithm;
+  if (name == "fa") return TopKAlgorithm::kFA;
+  if (name == "nra") return TopKAlgorithm::kNRA;
+  if (name == "scan") return TopKAlgorithm::kScan;
+  return Status::InvalidArgument("unknown --algorithm '" + name + "'");
+}
+
 // Rejects flags the command does not understand (a typo'd flag silently
 // falling back to its default is the worst failure mode a CLI can have).
 // The observability flags are accepted everywhere.
@@ -139,6 +159,8 @@ void PrintTopK(const FBox& fbox, Dimension dim, size_t k,
 }
 
 int RunAudit(const Flags& flags) {
+  Result<size_t> k = TopKFromFlags(flags);
+  if (!k.ok()) return Fail(k.status());
   Result<LoadedAudit> loaded = LoadAudit(flags);
   if (!loaded.ok()) return Fail(loaded.status());
   Result<MarketMeasure> measure = MeasureFromFlag(flags);
@@ -173,12 +195,9 @@ int RunAudit(const Flags& flags) {
     }
   }
 
-  Result<long> k = flags.GetInt("k", 5);
-  if (!k.ok()) return Fail(k.status());
   for (Dimension dim :
        {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
-    PrintTopK(*fbox, dim, static_cast<size_t>(*k),
-              RankDirection::kMostUnfair);
+    PrintTopK(*fbox, dim, *k, RankDirection::kMostUnfair);
   }
 
   std::string report_path = flags.GetString("report");
@@ -214,6 +233,8 @@ int RunAudit(const Flags& flags) {
 }
 
 int RunTopKCommand(const Flags& flags) {
+  Result<size_t> k = TopKFromFlags(flags);
+  if (!k.ok()) return Fail(k.status());
   std::string cube_path = flags.GetString("cube");
   if (cube_path.empty()) return Fail(Status::InvalidArgument("--cube required"));
   Result<UnfairnessCube> cube = LoadCube(cube_path);
@@ -235,33 +256,19 @@ int RunTopKCommand(const Flags& flags) {
     return Fail(Status::InvalidArgument("unknown --dim '" + dim_name + "'"));
   }
 
-  std::string algo_name = flags.GetString("algorithm", "ta");
-  TopKAlgorithm algorithm;
-  if (algo_name == "ta") {
-    algorithm = TopKAlgorithm::kThresholdAlgorithm;
-  } else if (algo_name == "fa") {
-    algorithm = TopKAlgorithm::kFA;
-  } else if (algo_name == "nra") {
-    algorithm = TopKAlgorithm::kNRA;
-  } else if (algo_name == "scan") {
-    algorithm = TopKAlgorithm::kScan;
-  } else {
-    return Fail(
-        Status::InvalidArgument("unknown --algorithm '" + algo_name + "'"));
-  }
-
-  Result<long> k = flags.GetInt("k", 5);
-  if (!k.ok()) return Fail(k.status());
+  Result<TopKAlgorithm> algorithm =
+      AlgorithmFromName(flags.GetString("algorithm", "ta"));
+  if (!algorithm.ok()) return Fail(algorithm.status());
 
   IndexSet indices = IndexSet::Build(*cube);
   QuantificationRequest request;
   request.target = dim;
-  request.k = static_cast<size_t>(*k);
+  request.k = *k;
   request.direction = flags.Has("least") ? RankDirection::kLeastUnfair
                                          : RankDirection::kMostUnfair;
-  request.algorithm = algorithm;
+  request.algorithm = *algorithm;
   // NRA only supports kZero; keep the CLI ergonomic.
-  if (algorithm == TopKAlgorithm::kNRA) {
+  if (*algorithm == TopKAlgorithm::kNRA) {
     request.missing = MissingCellPolicy::kZero;
   }
   Result<QuantificationResult> result =
@@ -281,7 +288,7 @@ int RunTopKCommand(const Flags& flags) {
     std::printf("  %-30s %.4f\n", name.c_str(), answer.value);
   }
   std::printf("[%s: %zu sorted / %zu random accesses, %zu ids scored]\n",
-              TopKAlgorithmName(algorithm), result->stats.sorted_accesses,
+              TopKAlgorithmName(*algorithm), result->stats.sorted_accesses,
               result->stats.random_accesses, result->stats.ids_scored);
   return 0;
 }
@@ -338,6 +345,8 @@ Result<SearchMeasure> SearchMeasureFromFlag(const Flags& flags) {
 }
 
 int RunAuditSearch(const Flags& flags) {
+  Result<size_t> k = TopKFromFlags(flags);
+  if (!k.ok()) return Fail(k.status());
   std::string runs_path = flags.GetString("runs");
   std::string users_path = flags.GetString("users");
   if (runs_path.empty() || users_path.empty()) {
@@ -375,12 +384,9 @@ int RunAuditSearch(const Flags& flags) {
               fbox->cube().num_present(), fbox->cube().num_cells(),
               assembly->dropped_runs);
 
-  Result<long> k = flags.GetInt("k", 5);
-  if (!k.ok()) return Fail(k.status());
   for (Dimension dim :
        {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
-    PrintTopK(*fbox, dim, static_cast<size_t>(*k),
-              RankDirection::kMostUnfair);
+    PrintTopK(*fbox, dim, *k, RankDirection::kMostUnfair);
   }
 
   std::string report_path = flags.GetString("report");
@@ -402,6 +408,8 @@ int RunAuditSearch(const Flags& flags) {
 }
 
 int RunTrend(const Flags& flags) {
+  Result<size_t> k = TopKFromFlags(flags);
+  if (!k.ok()) return Fail(k.status());
   std::string cube_path = flags.GetString("cube");
   std::string cube2_path = flags.GetString("cube2");
   if (cube_path.empty() || cube2_path.empty()) {
@@ -431,9 +439,6 @@ int RunTrend(const Flags& flags) {
   } else {
     return Fail(Status::InvalidArgument("unknown --dim '" + dim_name + "'"));
   }
-  Result<long> k = flags.GetInt("k", 5);
-  if (!k.ok()) return Fail(k.status());
-
   TrendTracker tracker(dim);
   Status recorded = tracker.RecordEpoch(*epoch0);
   if (recorded.ok()) recorded = tracker.RecordEpoch(*epoch1);
@@ -447,7 +452,7 @@ int RunTrend(const Flags& flags) {
   };
 
   Result<std::vector<TrendTracker::Drift>> drifts =
-      tracker.TopDrifts(static_cast<size_t>(*k));
+      tracker.TopDrifts(*k);
   if (!drifts.ok()) return Fail(drifts.status());
   std::printf("largest %s drifts between the two cubes:\n", dim_name.c_str());
   for (const TrendTracker::Drift& drift : *drifts) {
@@ -488,14 +493,6 @@ int RunDemo() {
   PrintTopK(*fbox, Dimension::kGroup, 5, RankDirection::kMostUnfair);
   PrintTopK(*fbox, Dimension::kLocation, 3, RankDirection::kLeastUnfair);
   return 0;
-}
-
-Result<TopKAlgorithm> AlgorithmFromName(const std::string& name) {
-  if (name == "ta") return TopKAlgorithm::kThresholdAlgorithm;
-  if (name == "fa") return TopKAlgorithm::kFA;
-  if (name == "nra") return TopKAlgorithm::kNRA;
-  if (name == "scan") return TopKAlgorithm::kScan;
-  return Status::InvalidArgument("unknown --algorithm '" + name + "'");
 }
 
 // serve-bench: throughput of the query-serving layer (docs/serving.md) over
