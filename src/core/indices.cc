@@ -103,39 +103,37 @@ void IndexSet::OtherSizes(Dimension target, size_t* s1, size_t* s2) const {
 
 IndexSet IndexSet::Build(const UnfairnessCube& cube) {
   IndexSet set;
-  set.sizes_[0] = cube.axis_size(Dimension::kGroup);
-  set.sizes_[1] = cube.axis_size(Dimension::kQuery);
-  set.sizes_[2] = cube.axis_size(Dimension::kLocation);
+  const size_t num_groups = cube.axis_size(Dimension::kGroup);
+  const size_t num_queries = cube.axis_size(Dimension::kQuery);
+  const size_t num_locations = cube.axis_size(Dimension::kLocation);
+  set.sizes_[0] = num_groups;
+  set.sizes_[1] = num_queries;
+  set.sizes_[2] = num_locations;
 
-  for (Dimension target :
-       {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
-    Dimension d1 = Dimension::kQuery;
-    Dimension d2 = Dimension::kLocation;
-    OtherDims(target, &d1, &d2);
-    size_t n1 = set.sizes_[static_cast<size_t>(d1)];
-    size_t n2 = set.sizes_[static_cast<size_t>(d2)];
-    size_t nt = set.sizes_[static_cast<size_t>(target)];
+  // One walk over the cube in storage order (g, then q, then l) appends
+  // each present cell to its three lists, list (other1, other2) of a
+  // family living at other1 · n2 + other2. Every list therefore receives
+  // its entries in ascending target position — the group list (q, l) in
+  // ascending g, the query list (g, l) in ascending q, the location list
+  // (g, q) in ascending l — so each InvertedIndex sorts exactly the input a
+  // per-list walk along the target axis would hand it.
+  std::vector<std::vector<ScoredEntry>> lists[3];
+  lists[0].resize(num_queries * num_locations);
+  lists[1].resize(num_groups * num_locations);
+  lists[2].resize(num_groups * num_queries);
+  cube.ForEachPresent([&](size_t g, size_t q, size_t l, double v) {
+    lists[0][q * num_locations + l].push_back({static_cast<int32_t>(g), v});
+    lists[1][g * num_locations + l].push_back({static_cast<int32_t>(q), v});
+    lists[2][g * num_queries + q].push_back({static_cast<int32_t>(l), v});
+  });
 
-    auto& family = set.family_[static_cast<size_t>(target)];
-    family.reserve(n1 * n2);
-    for (size_t p1 = 0; p1 < n1; ++p1) {
-      for (size_t p2 = 0; p2 < n2; ++p2) {
-        std::vector<ScoredEntry> entries;
-        for (size_t t = 0; t < nt; ++t) {
-          // Map (target, other1, other2) back to (g, q, l).
-          size_t coords[3];
-          coords[static_cast<size_t>(target)] = t;
-          coords[static_cast<size_t>(d1)] = p1;
-          coords[static_cast<size_t>(d2)] = p2;
-          std::optional<double> v =
-              cube.Get(coords[0], coords[1], coords[2]);
-          if (v.has_value()) {
-            entries.push_back(ScoredEntry{static_cast<int32_t>(t), *v});
-          }
-        }
-        family.emplace_back(std::move(entries));
-      }
+  for (size_t f = 0; f < 3; ++f) {
+    std::vector<InvertedIndex>& family = set.family_[f];
+    family.reserve(lists[f].size());
+    for (std::vector<ScoredEntry>& entries : lists[f]) {
+      family.emplace_back(std::move(entries));
     }
+    lists[f] = {};
   }
   return set;
 }

@@ -127,48 +127,68 @@ bool SameSelectorGroup(const QuantificationRequest& a,
 // the aggregate every TA random access, FA phase-2 sweep and NRA epilogue
 // needs. It depends only on the lists and the missing policy, never on the
 // lane, so one computation serves every random-access lane in the group.
-// The sum accumulates in list order and the policy division happens fresh
-// per call, so memoized answers are bitwise-identical to direct ones. Each
-// call counts one random access per list whether or not the value was
-// cached: stats record the algorithm's accesses, not how much work the memo
-// saved.
+// A lane aggregates each position at most once, so with a single
+// random-access lane the memo would only be written, never read: it is
+// then built with `memoize` false, allocates nothing and computes every
+// aggregate directly. The sum accumulates in list order and the policy
+// division happens fresh per call, so memoized answers are
+// bitwise-identical to direct ones. Each call counts one random access per
+// list whether or not the value was cached: stats record the algorithm's
+// accesses, not how much work the memo saved.
 class ScoreMemo {
  public:
-  ScoreMemo(const std::vector<const InvertedIndex*>& lists, size_t universe)
-      : lists_(lists),
-        sums_(universe, 0.0),
-        counts_(universe, 0),
-        known_(universe, 0) {}
+  ScoreMemo(const std::vector<const InvertedIndex*>& lists, size_t universe,
+            bool memoize)
+      : lists_(lists), memoize_(memoize) {
+    if (memoize_) {
+      sums_.assign(universe, 0.0);
+      counts_.assign(universe, 0);
+      known_.assign(universe, 0);
+    }
+  }
 
   // Bumps random_accesses; nullopt when the position is present in no list;
   // the caller owns ids_scored.
-  std::optional<double> Aggregate(int32_t pos, MissingCellPolicy policy,
-                                  FaginStats* stats) {
+  [[gnu::always_inline]] std::optional<double> Aggregate(
+      int32_t pos, MissingCellPolicy policy, FaginStats* stats) {
     stats->random_accesses += lists_.size();
-    const size_t p = static_cast<size_t>(pos);
-    if (known_[p] == 0) {
-      double sum = 0.0;
-      uint32_t present = 0;
-      for (const InvertedIndex* list : lists_) {
-        std::optional<double> v = list->Find(pos);
-        if (v.has_value()) {
-          sum += *v;
-          ++present;
-        }
+    double sum;
+    uint32_t present;
+    if (!memoize_) {
+      Sum(pos, &sum, &present);
+    } else {
+      const size_t p = static_cast<size_t>(pos);
+      if (known_[p] == 0) {
+        Sum(pos, &sums_[p], &counts_[p]);
+        known_[p] = 1;
       }
-      sums_[p] = sum;
-      counts_[p] = present;
-      known_[p] = 1;
+      sum = sums_[p];
+      present = counts_[p];
     }
-    if (counts_[p] == 0) return std::nullopt;
+    if (present == 0) return std::nullopt;
     if (policy == MissingCellPolicy::kSkip) {
-      return sums_[p] / static_cast<double>(counts_[p]);
+      return sum / static_cast<double>(present);
     }
-    return sums_[p] / static_cast<double>(lists_.size());
+    return sum / static_cast<double>(lists_.size());
   }
 
  private:
+  void Sum(int32_t pos, double* sum, uint32_t* present) const {
+    double s = 0.0;
+    uint32_t n = 0;
+    for (const InvertedIndex* list : lists_) {
+      std::optional<double> v = list->Find(pos);
+      if (v.has_value()) {
+        s += *v;
+        ++n;
+      }
+    }
+    *sum = s;
+    *present = n;
+  }
+
   const std::vector<const InvertedIndex*>& lists_;
+  const bool memoize_;
   std::vector<double> sums_;
   std::vector<uint32_t> counts_;
   std::vector<uint8_t> known_;
@@ -730,9 +750,13 @@ void RunLanes(const std::vector<const InvertedIndex*>& lists,
   exec_stats->nra_lanes += passes[kNra].size();
   if (!passes[kScan].empty()) ++exec_stats->shared_scan_passes;
 
-  // Scan lanes never random-access; a scan-only group builds no memo.
+  // Scan lanes never random-access; a scan-only group builds no memo, and
+  // a lone random-access lane gets a pass-through one.
+  const size_t random_access_lanes = lanes->size() - passes[kScan].size();
   std::optional<ScoreMemo> memo;
-  if (passes[kScan].size() < lanes->size()) memo.emplace(lists, universe);
+  if (random_access_lanes > 0) {
+    memo.emplace(lists, universe, random_access_lanes > 1);
+  }
   const bool timed = MetricsRegistry::Global().enabled();
   for (int pass = 0; pass < kPasses; ++pass) {
     const std::vector<Lane*>& members = passes[pass];

@@ -76,9 +76,10 @@ Result<UnfairnessCube> UnfairnessCube::Make(std::vector<GroupId> groups,
       cube.pos_of_[axis].emplace(cube.ids_[axis][i], i);
     }
   }
-  cube.values_.assign(
-      cube.ids_[0].size() * cube.ids_[1].size() * cube.ids_[2].size(),
-      std::nullopt);
+  const size_t cells =
+      cube.ids_[0].size() * cube.ids_[1].size() * cube.ids_[2].size();
+  cube.values_.assign(cells, 0.0);
+  cube.present_.assign(cells, 0);
   cube.epochs_.assign(cube.ids_[1].size() * cube.ids_[2].size(), 0);
   return cube;
 }
@@ -93,9 +94,7 @@ Result<size_t> UnfairnessCube::PosOf(Dimension d, int32_t id) const {
 
 size_t UnfairnessCube::num_present() const {
   size_t n = 0;
-  for (const auto& v : values_) {
-    if (v.has_value()) ++n;
-  }
+  for (uint8_t p : present_) n += p;
   return n;
 }
 

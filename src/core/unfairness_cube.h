@@ -1,7 +1,9 @@
 #ifndef FAIRJOB_CORE_UNFAIRNESS_CUBE_H_
 #define FAIRJOB_CORE_UNFAIRNESS_CUBE_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -33,6 +35,11 @@ struct AxisSelector {
 // missing cells (triples the measure is undefined for: unobserved (q,l)
 // pairs, groups without members, ...). Axis positions are indices into the
 // id lists the cube was built over.
+//
+// Storage is 9 bytes per cell in (g·Q + q)·L + l order: a double plus one
+// presence byte. The presence bytes are separate bytes (never bit-packed),
+// so pool threads streaming neighbouring columns into a
+// CubeMaterializeSink write disjoint memory locations.
 class UnfairnessCube {
  public:
   // Errors: InvalidArgument on an empty axis or duplicate ids within an axis.
@@ -49,17 +56,25 @@ class UnfairnessCube {
   Result<size_t> PosOf(Dimension d, int32_t id) const;
 
   void Set(size_t g, size_t q, size_t l, double value) {
-    values_[Offset(g, q, l)] = value;
+    const size_t offset = Offset(g, q, l);
+    values_[offset] = value;
+    present_[offset] = 1;
   }
-  void Clear(size_t g, size_t q, size_t l) {
-    values_[Offset(g, q, l)].reset();
-  }
+  void Clear(size_t g, size_t q, size_t l) { present_[Offset(g, q, l)] = 0; }
   std::optional<double> Get(size_t g, size_t q, size_t l) const {
-    return values_[Offset(g, q, l)];
+    const size_t offset = Offset(g, q, l);
+    if (present_[offset] == 0) return std::nullopt;
+    return values_[offset];
   }
 
   size_t num_cells() const { return values_.size(); }
   size_t num_present() const;
+
+  // Calls fn(g, q, l, value) for every present cell in storage order
+  // (g-major, then q, then l), testing eight presence bytes at a time:
+  // O(cells / 8 + present), reading only the values of present cells.
+  template <typename Fn>
+  void ForEachPresent(Fn&& fn) const;
 
   // Per-(query, location) column epochs for incremental maintenance
   // (docs/serving.md): a counter that the delta path bumps whenever the
@@ -96,9 +111,43 @@ class UnfairnessCube {
 
   std::vector<int32_t> ids_[3];  // group / query / location ids per axis
   std::unordered_map<int32_t, size_t> pos_of_[3];  // id -> axis position
-  std::vector<std::optional<double>> values_;
+  std::vector<double> values_;    // meaningful where present_ is 1
+  std::vector<uint8_t> present_;  // 1 where the cell is present, else 0
   std::vector<uint64_t> epochs_;  // per-(query, location) column epochs
 };
+
+template <typename Fn>
+void UnfairnessCube::ForEachPresent(Fn&& fn) const {
+  const size_t g_size = ids_[0].size();
+  const size_t q_size = ids_[1].size();
+  const size_t l_size = ids_[2].size();
+  const uint8_t* present = present_.data();
+  const double* values = values_.data();
+  size_t row = 0;  // g·Q + q
+  for (size_t g = 0; g < g_size; ++g) {
+    for (size_t q = 0; q < q_size; ++q, ++row) {
+      const size_t base = row * l_size;
+      size_t l = 0;
+      // Presence bytes are 0 or 1, so bit 8k of a little-endian word is
+      // byte k's presence.
+      for (; l + 8 <= l_size; l += 8) {
+        uint64_t word;
+        std::memcpy(&word, present + base + l, sizeof(word));
+        if constexpr (std::endian::native == std::endian::big) {
+          word = __builtin_bswap64(word);
+        }
+        while (word != 0) {
+          const size_t k = static_cast<size_t>(std::countr_zero(word)) >> 3;
+          word &= word - 1;
+          fn(g, q, l + k, values[base + l + k]);
+        }
+      }
+      for (; l < l_size; ++l) {
+        if (present[base + l] != 0) fn(g, q, l, values[base + l]);
+      }
+    }
+  }
+}
 
 // Axis universes for cube construction; empty vectors default to "all groups
 // in the space" / "all queries and locations in the dataset vocabulary".
@@ -136,8 +185,9 @@ class CubeColumnSink {
 // Sink that materializes the streamed columns into a pre-made cube (the
 // cube's axes must equal the build's resolved axes): defined cells are set,
 // undefined ones cleared. Lock-free: concurrent columns write disjoint
-// cells. The in-memory builders run on it, and a columns build into it is
-// the in-place refresh of those columns after their rankings changed.
+// cells, values and presence bytes alike. The in-memory builders run on it,
+// and a columns build into it is the in-place refresh of those columns
+// after their rankings changed.
 class CubeMaterializeSink final : public CubeColumnSink {
  public:
   explicit CubeMaterializeSink(UnfairnessCube* cube) : cube_(cube) {}

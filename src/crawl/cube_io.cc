@@ -10,6 +10,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "common/crc32.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/trace.h"
@@ -238,57 +239,6 @@ Counter* CrcFailures() {
   static Counter* const counter =
       MetricsRegistry::Global().counter("cube.io.crc_failures");
   return counter;
-}
-
-// Table-driven CRC32 (reflected, polynomial 0xEDB88320 — the zlib/PNG one),
-// slicing-by-8: eight lookup tables let the hot loop fold 8 bytes per
-// iteration, which matters when Open checksums a multi-hundred-MB cube file.
-using Crc32Tables = uint32_t[8][256];
-
-const Crc32Tables& Crc32Table() {
-  static const Crc32Tables& tables = [] () -> const Crc32Tables& {
-    static Crc32Tables t;
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[0][i] = c;
-    }
-    for (size_t s = 1; s < 8; ++s) {
-      for (uint32_t i = 0; i < 256; ++i) {
-        t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xffu];
-      }
-    }
-    return t;
-  }();
-  return tables;
-}
-
-uint32_t Crc32Update(uint32_t crc, const void* data, size_t bytes) {
-  const Crc32Tables& t = Crc32Table();
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  crc = ~crc;
-  while (bytes >= 8) {
-    uint32_t lo = (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
-                   uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24) ^
-                  crc;
-    uint32_t hi = uint32_t{p[4]} | uint32_t{p[5]} << 8 |
-                  uint32_t{p[6]} << 16 | uint32_t{p[7]} << 24;
-    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
-          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
-          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
-    p += 8;
-    bytes -= 8;
-  }
-  for (size_t i = 0; i < bytes; ++i) {
-    crc = t[0][(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
-  }
-  return ~crc;
-}
-
-uint32_t Crc32(const void* data, size_t bytes) {
-  return Crc32Update(0, data, bytes);
 }
 
 // Explicit little-endian encoding, so files are byte-identical across hosts.
@@ -976,6 +926,12 @@ class BinaryCubeColumnWriter::Impl {
     AppendNames(&prefix, names != nullptr ? &names->locations : nullptr,
                 l_size_);
     prefix.append(PadTo8(prefix.size()), '\0');
+    prefix_crc_ = Crc32(prefix.data() + kBinaryCubeHeaderBytes,
+                        prefix.size() - kBinaryCubeHeaderBytes);
+    // An unstreamed column reads as 8·G zero bytes.
+    column_crcs_.assign(q_size_ * l_size_,
+                        Crc32(std::string(8 * g_size_, '\0').data(),
+                              8 * g_size_));
     values_offset_ = prefix.size();
     presence_offset_ = values_offset_ + 8 * cells_;
     file_bytes_ = presence_offset_ + 8 * presence_.size();
@@ -1021,6 +977,9 @@ class BinaryCubeColumnWriter::Impl {
     }
     FAIRJOB_RETURN_IF_ERROR(
         WriteAt(buf.data(), buf.size(), values_offset_ + 8 * base));
+    // Each column has its own slot, so pool threads never share one.
+    column_crcs_[query_pos * l_size_ + location_pos] =
+        Crc32(buf.data(), buf.size());
     {
       std::lock_guard<std::mutex> lock(presence_mutex_);
       for (size_t g = 0; g < g_size_; ++g) {
@@ -1053,22 +1012,14 @@ class BinaryCubeColumnWriter::Impl {
     FAIRJOB_RETURN_IF_ERROR(
         WriteAt(bitmap.data(), bitmap.size(), presence_offset_));
 
-    // One sequential read-back pass checksums the payload exactly as a
-    // reader will see it (including ftruncate zeros for missing columns).
-    uint32_t crc = 0;
-    std::vector<unsigned char> chunk(1 << 20);
-    size_t offset = kBinaryCubeHeaderBytes;
-    while (offset < file_bytes_) {
-      size_t want = std::min(chunk.size(), file_bytes_ - offset);
-      ssize_t n = ::pread(temp_.fd, chunk.data(), want,
-                          static_cast<off_t>(offset));
-      if (n <= 0) {
-        return Status::IOError("short read while checksumming '" + path_ +
-                               "'");
-      }
-      crc = Crc32Update(crc, chunk.data(), static_cast<size_t>(n));
-      offset += static_cast<size_t>(n);
+    // The payload CRC chains the prefix, the columns in file order and the
+    // bitmap from their own checksums, so the values are never read back.
+    const Crc32Concat after_column(8 * g_size_);
+    uint32_t crc = prefix_crc_;
+    for (uint32_t column_crc : column_crcs_) {
+      crc = after_column(crc, column_crc);
     }
+    crc = Crc32Update(crc, bitmap.data(), bitmap.size());
 
     BinaryCubeHeader header;
     header.flags = 0;
@@ -1116,6 +1067,8 @@ class BinaryCubeColumnWriter::Impl {
   size_t presence_offset_ = 0;
   size_t file_bytes_ = 0;
   bool finished_ = false;
+  uint32_t prefix_crc_ = 0;  // payload bytes before the first column
+  std::vector<uint32_t> column_crcs_;  // per column, in (q·L + l) order
   std::mutex presence_mutex_;
   std::vector<uint64_t> presence_;
   std::atomic<uint64_t> present_count_{0};

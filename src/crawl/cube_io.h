@@ -88,9 +88,12 @@ Status SaveCubeBinary(const std::string& path, const UnfairnessCube& cube,
                       const CubeNames* names = nullptr,
                       const BinaryCubeWriteOptions& options = {});
 
-// Reads a binary cube file back into memory (either layout). Errors:
-// IOError on filesystem failure; InvalidArgument on bad magic, unsupported
-// version, truncation, or CRC mismatch.
+// Reads a binary cube file back into memory (either layout): a verified
+// MappedCube::Open plus Materialize. A dense file holds 8 bytes and 1 bit
+// per cell; the materialized UnfairnessCube takes 9 bytes per cell (about
+// 170 MB for a 19M-cell cube whose file is 148 MB). Errors: IOError on
+// filesystem failure; InvalidArgument on bad magic, unsupported version,
+// truncation, or CRC mismatch.
 Result<UnfairnessCube> LoadCubeBinary(const std::string& path);
 
 // mmap-backed random-access view of a binary cube file: Open maps the file
@@ -101,7 +104,8 @@ Result<UnfairnessCube> LoadCubeBinary(const std::string& path);
 class MappedCube {
  public:
   struct Options {
-    // Full-payload CRC32 check at Open (one sequential pass). Disable to
+    // Full-payload CRC32 check at Open (one sequential pass of
+    // common/crc32.h, PCLMULQDQ-folded where the CPU has it). Disable to
     // make Open O(1) when the file is trusted (e.g. written this process).
     bool verify_checksum = true;
   };
@@ -157,9 +161,11 @@ class MappedCube {
 // to BuildMarketplaceCubeSharded (or a Build*CubeColumns call) when the
 // cube should land on disk instead of in memory. Create sizes the file from the
 // resolved axes (unstreamed columns stay all-missing); Consume accepts
-// columns from any thread in any order (writes to disjoint offsets);
-// Finish seals the file — presence bitmap, CRC, header — and must be called
-// exactly once before destruction for the file to be readable.
+// columns from any thread in any order (writes to disjoint offsets) and
+// checksums each column as it writes it; Finish seals the file — presence
+// bitmap, the payload CRC chained from the column checksums (the values
+// are never read back), header — and must be called exactly once before
+// destruction for the file to be readable.
 //
 // Until Finish the target path is untouched: the columns go to a temporary
 // file in the same directory, which Finish fsyncs and renames over the

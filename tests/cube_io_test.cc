@@ -398,6 +398,45 @@ TEST(BinaryCubeIoTest, ColumnWriterProducesSameFileAsSaveCubeBinary) {
   std::remove(direct_path.c_str());
 }
 
+// The writer checksums each column as it is streamed and chains the
+// checksums at Finish: columns arriving out of order, or never, must still
+// give the bytes (and CRC) SaveCubeBinary writes.
+TEST(BinaryCubeIoTest, ColumnWriterChecksumIgnoresStreamOrder) {
+  std::string streamed_path = TempPath("shuffled.fjcube");
+  std::string direct_path = TempPath("shuffled_direct.fjcube");
+  CubeAxes axes;
+  axes.groups = {4, 9, 2};
+  axes.queries = {0, 1, 2, 3};
+  axes.locations = {7, 8};
+  UnfairnessCube cube =
+      *UnfairnessCube::Make(axes.groups, axes.queries, axes.locations);
+  auto writer = BinaryCubeColumnWriter::Create(streamed_path, axes);
+  ASSERT_TRUE(writer.ok());
+  // Column (q, l) for q < 3 holds q + 0.25·l + 0.01·g except group 1 at
+  // q == 2; columns with q == 3 are never streamed.
+  std::optional<double> column[3];
+  for (auto [q, l] : {std::pair<size_t, size_t>{2, 1}, {0, 0}, {1, 1},
+                      {0, 1}, {2, 0}, {1, 0}}) {
+    for (size_t g = 0; g < 3; ++g) {
+      if (q == 2 && g == 1) {
+        column[g] = std::nullopt;
+      } else {
+        column[g] = static_cast<double>(q) + 0.25 * l + 0.01 * g;
+        cube.Set(g, q, l, *column[g]);
+      }
+    }
+    ASSERT_TRUE((*writer)->Consume(q, l, column, 3).ok());
+  }
+  ASSERT_TRUE((*writer)->Finish().ok());
+
+  BinaryCubeWriteOptions options;
+  options.layout = BinaryCubeWriteOptions::Layout::kDense;
+  ASSERT_TRUE(SaveCubeBinary(direct_path, cube, nullptr, options).ok());
+  EXPECT_EQ(ReadFileBytes(streamed_path), ReadFileBytes(direct_path));
+  std::remove(streamed_path.c_str());
+  std::remove(direct_path.c_str());
+}
+
 TEST(BinaryCubeIoTest, ColumnWriterSkippedColumnsStayMissing) {
   std::string path = TempPath("skipped.fjcube");
   CubeAxes axes;
@@ -519,9 +558,10 @@ TEST(BinaryCubeIoTest, ColumnsBuildRejectsDuplicateColumns) {
 }
 
 TEST(BinaryCubeIoTest, Crc32MatchesKnownCheckValue) {
-  // The standard CRC-32 check value: crc32("123456789") == 0xCBF43926. Guards
-  // the sliced implementation against table or byte-order regressions, which
-  // would silently change the on-disk format.
+  // The standard CRC-32 check value: crc32("123456789") == 0xCBF43926
+  // (checked for both implementations in crc32_test). Guards the payload
+  // CRC against table, fold or byte-order regressions, which would silently
+  // change the on-disk format.
   std::string path = TempPath("crc.fjcube");
   UnfairnessCube cube = *UnfairnessCube::Make({1}, {2}, {3});
   cube.Set(0, 0, 0, 0.5);

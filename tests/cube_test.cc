@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <optional>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -32,6 +36,125 @@ TEST(CubeTest, SetGetClear) {
   EXPECT_EQ(cube.num_present(), 1u);
   cube.Clear(1, 0, 1);
   EXPECT_FALSE(cube.Get(1, 0, 1).has_value());
+}
+
+// --- Storage: one value and one presence byte per cell -------------------
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Random Set/Clear sequences against a plain optional-per-cell model:
+// every Get (value bits included), num_present, and a copy taken midway
+// that later writes must not reach.
+TEST(CubeStorageTest, SetClearGetRoundTripsAgainstModel) {
+  Rng rng(515);
+  for (auto [g, q, l] : {std::tuple<size_t, size_t, size_t>{1, 1, 1},
+                         {3, 1, 5},
+                         {7, 3, 3},
+                         {2, 9, 1},
+                         {5, 4, 6}}) {
+    auto ids = [](size_t n) {
+      std::vector<int32_t> v(n);
+      for (size_t i = 0; i < n; ++i) v[i] = static_cast<int32_t>(i);
+      return v;
+    };
+    UnfairnessCube cube = *UnfairnessCube::Make(ids(g), ids(q), ids(l));
+    const size_t cells = g * q * l;
+    std::vector<std::optional<double>> model(cells);
+    std::unique_ptr<UnfairnessCube> snapshot;
+    std::vector<std::optional<double>> snapshot_model;
+    static const double kValues[] = {0.0, -0.0, 1.5, -2.25, 1e-300};
+    for (int step = 0; step < 400; ++step) {
+      const size_t a = rng.NextBelow(static_cast<uint32_t>(g));
+      const size_t b = rng.NextBelow(static_cast<uint32_t>(q));
+      const size_t c = rng.NextBelow(static_cast<uint32_t>(l));
+      std::optional<double>& cell = model[(a * q + b) * l + c];
+      if (rng.NextBernoulli(0.35)) {
+        cube.Clear(a, b, c);
+        cell.reset();
+      } else {
+        const double v = rng.NextBernoulli(0.5) ? kValues[rng.NextBelow(5)]
+                                                : rng.NextDouble(-1.0, 1.0);
+        cube.Set(a, b, c, v);
+        cell = v;
+      }
+      if (step == 200) {
+        snapshot = std::make_unique<UnfairnessCube>(cube);
+        snapshot_model = model;
+      }
+    }
+    auto expect_equal = [&](const UnfairnessCube& got,
+                            const std::vector<std::optional<double>>& want) {
+      size_t present = 0;
+      for (size_t a = 0; a < g; ++a) {
+        for (size_t b = 0; b < q; ++b) {
+          for (size_t c = 0; c < l; ++c) {
+            const std::optional<double>& w = want[(a * q + b) * l + c];
+            std::optional<double> v = got.Get(a, b, c);
+            ASSERT_EQ(v.has_value(), w.has_value()) << a << b << c;
+            if (w.has_value()) {
+              EXPECT_EQ(Bits(*v), Bits(*w));
+              ++present;
+            }
+          }
+        }
+      }
+      EXPECT_EQ(got.num_present(), present);
+      EXPECT_EQ(got.num_cells(), cells);
+    };
+    expect_equal(cube, model);
+    ASSERT_NE(snapshot, nullptr);
+    expect_equal(*snapshot, snapshot_model);
+    UnfairnessCube assigned = *snapshot;
+    assigned = cube;
+    expect_equal(assigned, model);
+  }
+}
+
+// ForEachPresent visits exactly the present cells, in storage order, with
+// their coordinates — including axes whose cell count is not a multiple of
+// the eight-byte skip.
+TEST(CubeStorageTest, ForEachPresentVisitsPresentCellsInStorageOrder) {
+  Rng rng(88);
+  for (auto [g, q, l] : {std::tuple<size_t, size_t, size_t>{1, 1, 1},
+                         {1, 1, 13},
+                         {3, 5, 7},
+                         {9, 2, 4},
+                         {4, 4, 4}}) {
+    std::vector<int32_t> gs(g), qs(q), ls(l);
+    for (size_t i = 0; i < g; ++i) gs[i] = static_cast<int32_t>(i);
+    for (size_t i = 0; i < q; ++i) qs[i] = static_cast<int32_t>(i);
+    for (size_t i = 0; i < l; ++i) ls[i] = static_cast<int32_t>(i);
+    UnfairnessCube cube = *UnfairnessCube::Make(gs, qs, ls);
+    std::vector<std::tuple<size_t, size_t, size_t, double>> expected;
+    for (size_t a = 0; a < g; ++a) {
+      for (size_t b = 0; b < q; ++b) {
+        for (size_t c = 0; c < l; ++c) {
+          if (!rng.NextBernoulli(0.2)) continue;
+          const double v = rng.NextDouble(-1.0, 1.0);
+          cube.Set(a, b, c, v);
+          expected.emplace_back(a, b, c, v);
+        }
+      }
+    }
+    // The last cell is always present, so the tail after the final full
+    // eight-byte word is walked too.
+    if (expected.empty() ||
+        std::get<0>(expected.back()) != g - 1 ||
+        std::get<1>(expected.back()) != q - 1 ||
+        std::get<2>(expected.back()) != l - 1) {
+      cube.Set(g - 1, q - 1, l - 1, 0.125);
+      expected.emplace_back(g - 1, q - 1, l - 1, 0.125);
+    }
+    std::vector<std::tuple<size_t, size_t, size_t, double>> visited;
+    cube.ForEachPresent([&](size_t a, size_t b, size_t c, double v) {
+      visited.emplace_back(a, b, c, v);
+    });
+    EXPECT_EQ(visited, expected);
+  }
 }
 
 TEST(CubeTest, AxisMetadata) {

@@ -237,10 +237,11 @@ int RunTopKCommand(const Flags& flags) {
   if (!k.ok()) return Fail(k.status());
   std::string cube_path = flags.GetString("cube");
   if (cube_path.empty()) return Fail(Status::InvalidArgument("--cube required"));
-  Result<UnfairnessCube> cube = LoadCube(cube_path);
-  if (!cube.ok()) return Fail(cube.status());
+  // One read of the CSV yields both the cube and its axis names.
   Result<std::vector<std::vector<std::string>>> rows = ReadCsvFile(cube_path);
   if (!rows.ok()) return Fail(rows.status());
+  Result<UnfairnessCube> cube = CubeFromCsvRows(*rows);
+  if (!cube.ok()) return Fail(cube.status());
   Result<CubeNames> names = CubeNamesFromCsvRows(*rows);
   if (!names.ok()) return Fail(names.status());
 
@@ -415,12 +416,12 @@ int RunTrend(const Flags& flags) {
   if (cube_path.empty() || cube2_path.empty()) {
     return Fail(Status::InvalidArgument("--cube and --cube2 are required"));
   }
-  Result<UnfairnessCube> epoch0 = LoadCube(cube_path);
+  Result<std::vector<std::vector<std::string>>> rows = ReadCsvFile(cube_path);
+  if (!rows.ok()) return Fail(rows.status());
+  Result<UnfairnessCube> epoch0 = CubeFromCsvRows(*rows);
   if (!epoch0.ok()) return Fail(epoch0.status());
   Result<UnfairnessCube> epoch1 = LoadCube(cube2_path);
   if (!epoch1.ok()) return Fail(epoch1.status());
-  Result<std::vector<std::vector<std::string>>> rows = ReadCsvFile(cube_path);
-  if (!rows.ok()) return Fail(rows.status());
   Result<CubeNames> names = CubeNamesFromCsvRows(*rows);
   if (!names.ok()) return Fail(names.status());
 
