@@ -50,11 +50,11 @@ double TimeMs(size_t repetitions, Fn&& fn) {
 // a handful of hot selector groups (dashboards refreshing the same slices)
 // fanned out into many distinct lanes — varied k, direction, missing
 // policy, allowed-target subsets and algorithm — so one gather per group
-// feeds many requests. The mix is scan-heavy (~80% scan / 10% TA / 5% FA /
-// 5% NRA, NRA only where its preconditions hold): full-slice scans are the
-// dashboard workload this batch engine exists for, and the only lanes whose
-// list work is fully shared — TA/FA/NRA lanes share sorted access but must
-// score candidates per lane to keep their FaginStats bitwise.
+// feeds many requests. The mix is scan-heavy (~85% scan / 15% TA):
+// full-slice scans are the dashboard workload this batch engine exists
+// for, and the only lanes whose list work is fully shared — TA lanes share
+// sorted access but must score candidates per lane to keep their
+// FaginStats bitwise.
 std::vector<QuantificationRequest> MakeTrace(const UnfairnessCube& cube,
                                              size_t length, uint64_t seed) {
   static const Dimension kDims[3] = {Dimension::kGroup, Dimension::kQuery,
@@ -66,7 +66,6 @@ std::vector<QuantificationRequest> MakeTrace(const UnfairnessCube& cube,
     Dimension target;
     AxisSelector agg1;
     AxisSelector agg2;
-    size_t lists;
   };
   std::vector<Slice> slices;
   for (Dimension target : kDims) {
@@ -75,19 +74,16 @@ std::vector<QuantificationRequest> MakeTrace(const UnfairnessCube& cube,
     QuantificationOtherDims(target, &d1, &d2);
     const size_t n1 = cube.axis_size(d1);
     const size_t n2 = cube.axis_size(d2);
-    Slice all{target, {}, {}, n1 * n2};
+    Slice all{target, {}, {}};
     slices.push_back(all);
     Slice half = all;
     for (size_t i = 0; i < (n1 + 1) / 2; ++i) half.agg1.positions.push_back(i);
-    half.lists = half.agg1.positions.size() * n2;
     slices.push_back(half);
     Slice quarter = half;
     quarter.agg2.positions.clear();
     for (size_t i = 0; i < (n2 + 1) / 2; ++i) {
       quarter.agg2.positions.push_back(i);
     }
-    quarter.lists = quarter.agg1.positions.size() *
-                    quarter.agg2.positions.size();
     slices.push_back(quarter);
   }
 
@@ -108,20 +104,13 @@ std::vector<QuantificationRequest> MakeTrace(const UnfairnessCube& cube,
                                                : RankDirection::kLeastUnfair;
     request.missing = rng.NextBernoulli(0.5) ? MissingCellPolicy::kSkip
                                              : MissingCellPolicy::kZero;
+    // Rolls 16-18 draw TA and the rest a scan. Rolls 18 and 19 once drew
+    // FA and NRA; the draw is kept so the random stream, and with it every
+    // other field of the trace, stays as it was.
     const uint32_t roll = rng.NextBelow(20);
-    if (roll < 16) {
-      request.algorithm = TopKAlgorithm::kScan;
-    } else if (roll < 18) {
-      request.algorithm = TopKAlgorithm::kThresholdAlgorithm;
-    } else if (roll < 19) {
-      request.algorithm = TopKAlgorithm::kFA;
-    } else if (slice.lists <= 64) {
-      request.algorithm = TopKAlgorithm::kNRA;
-      request.direction = RankDirection::kMostUnfair;
-      request.missing = MissingCellPolicy::kZero;
-    } else {
-      request.algorithm = TopKAlgorithm::kScan;
-    }
+    request.algorithm = roll >= 16 && roll < 19
+                            ? TopKAlgorithm::kThresholdAlgorithm
+                            : TopKAlgorithm::kScan;
     if (rng.NextBernoulli(0.3)) {
       const size_t axis = cube.axis_size(request.target);
       const size_t count = 1 + rng.NextBelow(static_cast<uint32_t>(axis));

@@ -1,8 +1,8 @@
-// Performance of Algorithm 1 (Fagin Threshold Algorithm) and the rest of
-// the Top-K family against the naive full scan, across universe sizes and
-// inverted-list counts. The skewed value distribution mirrors unfairness
-// cubes, where a handful of dimension values dominate; TA terminates after
-// a few sorted accesses while the scan always touches everything.
+// Performance of Algorithm 1 (Fagin Threshold Algorithm) against the full
+// scan, across universe sizes and inverted-list counts. The skewed value
+// distribution mirrors unfairness cubes, where a handful of dimension
+// values dominate; TA terminates after a few sorted accesses while the scan
+// always touches everything.
 
 #include <benchmark/benchmark.h>
 
@@ -80,19 +80,6 @@ void BM_TA(benchmark::State& state) {
                    static_cast<size_t>(state.range(1)));
 }
 
-// FA and NRA in their early-stop mode (kZero).
-void BM_FA(benchmark::State& state) {
-  RunTopKBenchmark(state, TopKAlgorithm::kFA, MissingCellPolicy::kZero,
-                   RankDirection::kMostUnfair,
-                   static_cast<size_t>(state.range(1)));
-}
-
-void BM_NRA(benchmark::State& state) {
-  RunTopKBenchmark(state, TopKAlgorithm::kNRA, MissingCellPolicy::kZero,
-                   RankDirection::kMostUnfair,
-                   static_cast<size_t>(state.range(1)));
-}
-
 void BM_Scan(benchmark::State& state) {
   RunTopKBenchmark(state, TopKAlgorithm::kScan, MissingCellPolicy::kSkip,
                    RankDirection::kMostUnfair,
@@ -137,23 +124,20 @@ double BestMsPerRun(int reps, int iters, const std::function<void()>& fn) {
 }
 
 // Times the engine (RunTopK) against the brute-force oracle
-// (tests/topk_oracle.h) on each family member, checks the answers against
-// the oracle, and writes BENCH_fagin_oracle.json. The scan/NRA
-// configurations carry an enforced bar on speedup = oracle ms / engine ms:
-// the process exits non-zero when a speedup falls below its bar, or when an
-// answer disagrees. TA/FA are reported unenforced (early termination makes
-// their runtime mostly sorted-access bound).
+// (tests/topk_oracle.h) on each algorithm, checks the answers against the
+// oracle bitwise, and writes BENCH_fagin_oracle.json. The scan
+// configuration carries an enforced bar on speedup = oracle ms / engine
+// ms: the process exits non-zero when the speedup falls below its bar, or
+// when an answer disagrees. TA is reported unenforced (early termination
+// makes its runtime mostly sorted-access bound).
 //
-// The bars are regression bounds: each is the 2.0× bar the engine once had
-// to keep over a hash-table engine, times the oracle/hash-engine time ratio
-// measured on the same config (median of 5 runs, rounded up). NRA's is
-// tiny because NRA reads lists entry by entry with per-candidate bounds
-// while the oracle is one pass.
+// The bar is a regression bound: the 2.0× bar the engine once had to keep
+// over a hash-table engine, times the oracle/hash-engine time ratio
+// measured on the same config (median of 5 runs, rounded up).
 int OracleCompareMain(bool smoke) {
   struct Config {
     const char* name;
     TopKAlgorithm algorithm;
-    MissingCellPolicy missing;
     size_t universe;
     size_t num_lists;
     size_t k;
@@ -162,15 +146,10 @@ int OracleCompareMain(bool smoke) {
     int iters;
   };
   const Config configs[] = {
-      {"scan_wide", TopKAlgorithm::kScan, MissingCellPolicy::kSkip,
-       smoke ? size_t{1024} : size_t{8192}, smoke ? size_t{16} : size_t{64},
-       10, true, smoke ? 0.58 : 0.43, smoke ? 20 : 5},
-      {"nra_uniform", TopKAlgorithm::kNRA, MissingCellPolicy::kZero, 2048, 4,
-       10, true, 0.0045, smoke ? 4 : 5},
+      {"scan_wide", TopKAlgorithm::kScan, smoke ? size_t{1024} : size_t{8192},
+       smoke ? size_t{16} : size_t{64}, 10, true, smoke ? 0.58 : 0.43,
+       smoke ? 20 : 5},
       {"ta_skewed", TopKAlgorithm::kThresholdAlgorithm,
-       MissingCellPolicy::kSkip, smoke ? size_t{512} : size_t{4096},
-       smoke ? size_t{8} : size_t{16}, 5, false, 0.0, smoke ? 50 : 20},
-      {"fa_zero", TopKAlgorithm::kFA, MissingCellPolicy::kZero,
        smoke ? size_t{512} : size_t{4096}, smoke ? size_t{8} : size_t{16}, 5,
        false, 0.0, smoke ? 50 : 20},
   };
@@ -191,7 +170,6 @@ int OracleCompareMain(bool smoke) {
     std::vector<const InvertedIndex*> ptrs = Pointers(lists);
     TopKOptions options;
     options.k = config.k;
-    options.missing = config.missing;
     options.universe_hint = config.universe;
 
     // Correctness gate first.
@@ -201,9 +179,8 @@ int OracleCompareMain(bool smoke) {
                    engine.status().ToString().c_str());
       return 1;
     }
-    const bool agrees = topk_oracle::Agrees(
-        *engine, topk_oracle::TopK(ptrs, options),
-        /*exact_values=*/config.algorithm != TopKAlgorithm::kNRA);
+    const bool agrees =
+        topk_oracle::Agrees(*engine, topk_oracle::TopK(ptrs, options));
     if (!agrees) {
       std::fprintf(stderr, "%s: engine/oracle divergence\n", config.name);
       failed = true;
@@ -259,8 +236,8 @@ int OracleCompareMain(bool smoke) {
   return failed ? 1 : 0;
 }
 
-// CI smoke path (--smoke): one metrics-enabled run of each family member on
-// a small instance, written to BENCH_fagin_smoke.json, bypassing the
+// CI smoke path (--smoke): one metrics-enabled run of each algorithm on a
+// small instance, written to BENCH_fagin_smoke.json, bypassing the
 // google-benchmark driver entirely so it finishes in milliseconds.
 int SmokeMain(const char* metrics_path, const char* trace_path) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
@@ -275,18 +252,14 @@ int SmokeMain(const char* metrics_path, const char* trace_path) {
   struct Algo {
     const char* name;
     TopKAlgorithm algorithm;
-    MissingCellPolicy missing;
   };
   const Algo algos[] = {
-      {"ta", TopKAlgorithm::kThresholdAlgorithm, MissingCellPolicy::kSkip},
-      {"fa", TopKAlgorithm::kFA, MissingCellPolicy::kZero},
-      {"nra", TopKAlgorithm::kNRA, MissingCellPolicy::kZero},
-      {"scan", TopKAlgorithm::kScan, MissingCellPolicy::kSkip},
+      {"ta", TopKAlgorithm::kThresholdAlgorithm},
+      {"scan", TopKAlgorithm::kScan},
   };
   for (size_t i = 0; i < sizeof(algos) / sizeof(algos[0]); ++i) {
     TopKOptions options;
     options.k = 5;
-    options.missing = algos[i].missing;
     FaginStats stats;
     auto result = RunTopK(algos[i].algorithm, ptrs, options, &stats);
     if (!result.ok()) {
@@ -332,12 +305,6 @@ int SmokeMain(const char* metrics_path, const char* trace_path) {
 
 BENCHMARK(fairjob::BM_TA)
     ->ArgsProduct({{64, 512, 4096}, {4, 16, 64}})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(fairjob::BM_FA)
-    ->ArgsProduct({{64, 512, 4096}, {4, 16}})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(fairjob::BM_NRA)
-    ->ArgsProduct({{64, 512, 4096}, {4, 16}})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(fairjob::BM_Scan)
     ->ArgsProduct({{64, 512, 4096}, {4, 16, 64}})

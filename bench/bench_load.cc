@@ -540,7 +540,7 @@ int Main(int argc, char** argv) {
   calib_options.num_workers = batch_workers;
   // True per-solve cost, measured single-threaded with no service in the
   // way. The hot trace has few distinct keys, so a closed-loop probe
-  // through the service would coalesce duplicates in single flight and
+  // through the service would coalesce duplicates in the collector and
   // overstate capacity — noisily, run to run — and every knob derived from
   // it (window, target, deadline, SLO) would inherit the error.
   double solve_cost_us = 0.0;

@@ -45,25 +45,17 @@ double TimeMs(size_t repetitions, Fn&& fn) {
 }
 
 // Every (target, direction, k, algorithm) combination the serving layer
-// accepts; kZero keeps NRA eligible so the mix spans all four family
-// members (NRA's bounds only work top-down, over at most 64 lists — one
-// per cell of the two aggregated axes).
-std::vector<QuantificationRequest> RequestSpace(const UnfairnessCube& cube) {
+// accepts, with missing cells counted as 0 (Algorithm 1's literal
+// semantics).
+std::vector<QuantificationRequest> RequestSpace() {
   std::vector<QuantificationRequest> space;
   for (Dimension target :
        {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
-    size_t aggregated_lists = cube.num_cells() / cube.axis_size(target);
     for (RankDirection direction :
          {RankDirection::kMostUnfair, RankDirection::kLeastUnfair}) {
       for (size_t k : {3u, 5u, 10u}) {
         for (TopKAlgorithm algorithm :
-             {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kFA,
-              TopKAlgorithm::kNRA, TopKAlgorithm::kScan}) {
-          if (algorithm == TopKAlgorithm::kNRA &&
-              (direction == RankDirection::kLeastUnfair ||
-               aggregated_lists > 64)) {
-            continue;
-          }
+             {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kScan}) {
           QuantificationRequest request;
           request.target = target;
           request.k = k;
@@ -164,7 +156,7 @@ int Main(int argc, char** argv) {
             "cube");
   IndexSet indices = IndexSet::Build(cube);
 
-  std::vector<QuantificationRequest> request_space = RequestSpace(cube);
+  std::vector<QuantificationRequest> request_space = RequestSpace();
   std::vector<QuantificationRequest> trace =
       MakeTrace(request_space, kTraceLen, 7);
   std::printf("keyspace: %zu distinct requests, trace: %zu, cube: %zu cells\n",

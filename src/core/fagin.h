@@ -59,31 +59,26 @@ struct TopKOptions {
   size_t universe_hint = 0;
 };
 
-// The members of the Fagin top-k family (Fagin, Lotem & Naor, "Optimal
-// aggregation algorithms for middleware", JCSS 2003), adapted to the
-// unfairness cube:
+// The two Top-K algorithms over the unfairness cube's inverted lists:
 //
-//  * kThresholdAlgorithm — Algorithm 1: round-robin sorted access, random
-//    access to complete each newly seen id's aggregate, and a per-policy
-//    threshold bound on unseen ids for early termination (the max/min
-//    frontier under kSkip, the mean of clamped frontiers under kZero; with
-//    kZero + kLeastUnfair no useful bound exists and the run degenerates to
-//    a scan, still correct).
-//  * kFA — Fagin's original algorithm: sorted access until k ids have been
-//    seen on every list (kZero only; under kSkip it reads everything), then
-//    random access to score every id seen.
-//  * kNRA — no random access: [lower, upper] bounds per seen id from sorted
-//    access only; stops when the k-th best lower bound beats every other
-//    upper bound, then resolves exact aggregates for the k ids. kZero,
-//    kMostUnfair and at most 64 lists only (InvalidArgument otherwise).
+//  * kThresholdAlgorithm — the paper's Algorithm 1, Fagin's Threshold
+//    Algorithm (Fagin, Lotem & Naor, "Optimal aggregation algorithms for
+//    middleware", JCSS 2003): round-robin sorted access, random access to
+//    complete each newly seen id's aggregate, and a per-policy threshold
+//    bound on unseen ids for early termination (the max/min frontier under
+//    kSkip, the mean of clamped frontiers under kZero; with kZero +
+//    kLeastUnfair no useful bound exists and the run degenerates to a
+//    scan, still correct).
 //  * kScan — scores every id in one pass over all list entries.
 //
-// All four return the same top-k up to ties at the k-th value; they differ
-// in their FaginStats.
+// Both return the same top-k up to ties at the k-th value, with bitwise
+// equal values; they differ in their FaginStats. FA and NRA, the family
+// members built for middleware where random access is costly or
+// impossible, are not offered: here a random access is an array load, and
+// neither beat both TA and the scan on any measured slice
+// (docs/performance.md, "One Top-K engine").
 enum class TopKAlgorithm {
   kThresholdAlgorithm,  // Algorithm 1 (default)
-  kFA,
-  kNRA,
   kScan,
 };
 
@@ -99,7 +94,7 @@ const char* TopKAlgorithmName(TopKAlgorithm algorithm);
 // absent from every list are never returned.
 //
 // Errors: InvalidArgument when k == 0, `lists` is empty or holds a null
-// list, plus the NRA restrictions above.
+// list.
 Result<std::vector<ScoredEntry>> RunTopK(
     TopKAlgorithm algorithm, const std::vector<const InvertedIndex*>& lists,
     const TopKOptions& options, FaginStats* stats = nullptr);

@@ -55,7 +55,7 @@ Status ValidateQuantificationRequest(const UnfairnessCube& cube,
 // Solves Problem 1 against a cube and its pre-built indices: a batch of one
 // through SolveQuantificationBatch (core/quantification_batch.h). Errors:
 // InvalidArgument on malformed requests (k = 0, selector positions out of
-// range, the NRA restrictions in core/fagin.h).
+// range).
 Result<QuantificationResult> SolveQuantification(
     const UnfairnessCube& cube, const IndexSet& indices,
     const QuantificationRequest& request);

@@ -25,12 +25,15 @@ bool Better(double a, double b, RankDirection dir) {
 // Final ordering of every lane's output: best-first for the direction, ties
 // by ascending position. A total order, so the result is deterministic
 // however the candidate set was produced.
+auto RankOrder(RankDirection dir) {
+  return [dir](const ScoredEntry& a, const ScoredEntry& b) {
+    if (a.value != b.value) return Better(a.value, b.value, dir);
+    return a.pos < b.pos;
+  };
+}
+
 void SortResults(std::vector<ScoredEntry>* out, RankDirection dir) {
-  std::sort(out->begin(), out->end(),
-            [dir](const ScoredEntry& a, const ScoredEntry& b) {
-              if (a.value != b.value) return Better(a.value, b.value, dir);
-              return a.pos < b.pos;
-            });
+  std::sort(out->begin(), out->end(), RankOrder(dir));
 }
 
 // Bound on the aggregate of any id never returned by sorted access so far —
@@ -97,7 +100,7 @@ bool IsAllowed(const uint8_t* allowed, int32_t pos) {
 
 // Metric label of each algorithm: lanes publish under fagin.<label>.*.
 const char* MetricLabel(TopKAlgorithm algorithm) {
-  static const char* const kLabels[] = {"ta", "fa", "nra", "scan"};
+  static const char* const kLabels[] = {"ta", "scan"};
   return kLabels[static_cast<size_t>(algorithm)];
 }
 
@@ -124,17 +127,16 @@ bool SameSelectorGroup(const QuantificationRequest& a,
 }
 
 // Lazily-filled per-position (sum, present-count) over the group's lists,
-// the aggregate every TA random access, FA phase-2 sweep and NRA epilogue
-// needs. It depends only on the lists and the missing policy, never on the
-// lane, so one computation serves every random-access lane in the group.
-// A lane aggregates each position at most once, so with a single
-// random-access lane the memo would only be written, never read: it is
-// then built with `memoize` false, allocates nothing and computes every
-// aggregate directly. The sum accumulates in list order and the policy
-// division happens fresh per call, so memoized answers are
-// bitwise-identical to direct ones. Each call counts one random access per
-// list whether or not the value was cached: stats record the algorithm's
-// accesses, not how much work the memo saved.
+// the aggregate every TA random access needs. It depends only on the lists
+// and the missing policy, never on the lane, so one computation serves
+// every TA lane in the group, whatever its direction. A lane aggregates
+// each position at most once, so with a single TA lane the memo would only
+// be written, never read: it is then built with `memoize` false, allocates
+// nothing and computes every aggregate directly. The sum accumulates in
+// list order and the policy division happens fresh per call, so memoized
+// answers are bitwise-identical to direct ones. Each call counts one random
+// access per list whether or not the value was cached: stats record the
+// algorithm's accesses, not how much work the memo saved.
 class ScoreMemo {
  public:
   ScoreMemo(const std::vector<const InvertedIndex*>& lists, size_t universe,
@@ -206,10 +208,8 @@ struct Lane {
   const uint8_t* allowed = nullptr;
 };
 
-// Request-shape checks: k and the lists for every algorithm, then NRA's
-// policy, direction and width restrictions, in that order.
-Status ValidateLane(TopKAlgorithm algorithm,
-                    const std::vector<const InvertedIndex*>& lists,
+// Request-shape checks, the same for both algorithms: k, then the lists.
+Status ValidateLane(const std::vector<const InvertedIndex*>& lists,
                     const TopKOptions& options) {
   if (options.k == 0) return Status::InvalidArgument("k must be positive");
   if (lists.empty()) {
@@ -218,20 +218,6 @@ Status ValidateLane(TopKAlgorithm algorithm,
   for (const InvertedIndex* list : lists) {
     if (list == nullptr) {
       return Status::InvalidArgument("null inverted list");
-    }
-  }
-  if (algorithm == TopKAlgorithm::kNRA) {
-    if (options.missing != MissingCellPolicy::kZero) {
-      return Status::InvalidArgument(
-          "NRA bounds require MissingCellPolicy::kZero (the average over "
-          "present lists is not monotone in the unknown entries)");
-    }
-    if (options.direction != RankDirection::kMostUnfair) {
-      return Status::InvalidArgument(
-          "NRA supports kMostUnfair only; use TA or the scan for bottom-k");
-    }
-    if (lists.size() > 64) {
-      return Status::InvalidArgument("NRA supports at most 64 lists");
     }
   }
   return Status::OK();
@@ -310,8 +296,16 @@ void RunScanLanes(const std::vector<const InvertedIndex*>& lists,
     // one access per list, one ids_scored each.
     stats->random_accesses += emitted * num_lists;
     stats->ids_scored += emitted;
-    SortResults(&out, lane->options.direction);
-    if (out.size() > lane->options.k) out.resize(lane->options.k);
+    // Only the first k of the total order are returned: select and order
+    // just those (the same entries in the same order as a full sort).
+    const size_t k = lane->options.k;
+    if (out.size() > k) {
+      std::partial_sort(out.begin(), out.begin() + static_cast<long>(k),
+                        out.end(), RankOrder(lane->options.direction));
+      out.resize(k);
+    } else {
+      SortResults(&out, lane->options.direction);
+    }
   }
 }
 
@@ -407,356 +401,35 @@ void RunTaLanes(const std::vector<const InvertedIndex*>& lists,
   }
 }
 
-// --- FA lanes ------------------------------------------------------------
-// Phase 1 (round-robin sorted access) is shared per direction exactly like
-// TA; each lane keeps its own seen counts and stops when k ids are complete
-// on every list (kZero only). Phase 2 scores each lane's candidates in
-// ascending position order against the group ScoreMemo (one random access
-// per list per candidate, ids_scored only when the position is present
-// somewhere).
-void RunFaLanes(const std::vector<const InvertedIndex*>& lists,
-                size_t universe, RankDirection direction,
-                const std::vector<Lane*>& lanes, ScoreMemo* memo) {
-  struct FaState {
-    Lane* lane;
-    std::vector<uint32_t> seen_count;
-    size_t complete_ids = 0;
-    bool can_stop_early = false;
-    bool active = true;
-  };
-  const bool most = direction == RankDirection::kMostUnfair;
-
-  std::vector<FaState> states;
-  states.reserve(lanes.size());
-  for (Lane* lane : lanes) {
-    FaState s{lane, std::vector<uint32_t>(universe, 0), 0,
-              lane->options.missing == MissingCellPolicy::kZero, true};
-    states.push_back(std::move(s));
-  }
-
-  std::vector<size_t> cursors(lists.size(), 0);
-  size_t active = states.size();
-  while (active > 0) {
-    bool any_read = false;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      if (cursors[i] >= lists[i]->size()) continue;
-      const size_t at = most ? cursors[i] : lists[i]->size() - 1 - cursors[i];
-      const ScoredEntry& e = lists[i]->entry(at);
-      ++cursors[i];
-      any_read = true;
-      for (FaState& s : states) {
-        if (!s.active) continue;
-        ++s.lane->stats.sorted_accesses;
-        if (!IsAllowed(s.lane->allowed, e.pos)) continue;
-        const uint32_t seen = ++s.seen_count[static_cast<size_t>(e.pos)];
-        if (seen == lists.size()) ++s.complete_ids;
-      }
-    }
-    if (!any_read) break;
-    for (FaState& s : states) {
-      if (!s.active) continue;
-      ++s.lane->stats.rounds;
-      if (s.can_stop_early) {
-        ++s.lane->stats.threshold_checks;
-        if (s.complete_ids >= s.lane->options.k) {
-          s.active = false;
-          --active;
-        }
-      }
-    }
-  }
-
-  for (FaState& s : states) {
-    FaginStats* stats = &s.lane->stats;
-    std::vector<ScoredEntry> scored;
-    for (size_t pos = 0; pos < universe; ++pos) {
-      if (s.seen_count[pos] == 0) continue;
-      std::optional<double> agg = memo->Aggregate(
-          static_cast<int32_t>(pos), s.lane->options.missing, stats);
-      if (!agg.has_value()) continue;
-      ++stats->ids_scored;
-      scored.push_back(ScoredEntry{static_cast<int32_t>(pos), *agg});
-    }
-    SortResults(&scored, direction);
-    if (scored.size() > s.lane->options.k) scored.resize(s.lane->options.k);
-    s.lane->entries = std::move(scored);
-  }
-}
-
-// --- NRA lanes -----------------------------------------------------------
-// Per seen position a lane keeps the sum of its known entries and a bitmask
-// of the lists that delivered them. An unknown entry of list i is missing
-// (0 under kZero) or lies between the list's tail and its frontier, so the
-// lower bound adds min(0, tail_i) and the upper bound max(0, frontier_i) for
-// every unknown list. A lane stops once its k-th best lower bound reaches
-// every other position's upper bound, then resolves exact aggregates for
-// its k positions by random access; if the lists run out first, the known
-// sums are complete and are returned as they are. The sorted access (always
-// from the top — NRA is kMostUnfair + kZero only) and the per-round
-// frontier bounds are shared, the bound bookkeeping is per lane.
-//
-// Lower bounds are compared under the total order (value desc, pos asc), so
-// the current top-k set is unique. When no list holds a negative value the
-// bounds never decrease, and the top-k is maintained incrementally from the
-// positions touched per round; otherwise it is reselected per check. That
-// `monotone` choice depends only on the lists, so it is made once per
-// group.
-void RunNraLanes(const std::vector<const InvertedIndex*>& lists,
-                 size_t universe, const std::vector<Lane*>& lanes,
-                 ScoreMemo* memo) {
-  struct NraState {
-    Lane* lane;
-    std::vector<double> known_sum;
-    std::vector<double> lower_bound;
-    std::vector<uint64_t> known_mask;
-    std::vector<int32_t> seen_positions;
-    std::vector<uint8_t> in_top;
-    std::vector<std::pair<double, int32_t>> lowers;
-    std::vector<std::pair<double, int32_t>> top;
-    std::vector<int32_t> touched;
-    bool top_built = false;
-    bool active = true;
-  };
-  const size_t num_lists = lists.size();
-  const double denom = static_cast<double>(num_lists);
-
-  auto lower_cmp = [](const std::pair<double, int32_t>& a,
-                      const std::pair<double, int32_t>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  };
-  std::vector<double> floors(num_lists, 0.0);  // min(0, tail) per list
-  bool monotone = true;
-  for (size_t i = 0; i < num_lists; ++i) {
-    if (!lists[i]->empty()) {
-      floors[i] = std::min(lists[i]->entry(lists[i]->size() - 1).value, 0.0);
-    }
-    if (floors[i] < 0.0) monotone = false;
-  }
-  auto lower_bound_of = [&](double known_sum, uint64_t known_mask) {
-    if (monotone) return known_sum / denom;  // every floor is 0
-    double floor = 0.0;
-    for (size_t i = 0; i < num_lists; ++i) {
-      if ((known_mask & (1ull << i)) == 0) floor += floors[i];
-    }
-    return (known_sum + floor) / denom;
-  };
-
-  std::vector<NraState> states;
-  states.reserve(lanes.size());
-  for (Lane* lane : lanes) {
-    NraState s;
-    s.lane = lane;
-    s.known_sum.assign(universe, 0.0);
-    s.lower_bound.assign(universe, 0.0);
-    s.known_mask.assign(universe, 0);
-    s.in_top.assign(universe, 0);
-    states.push_back(std::move(s));
-  }
-
-  std::vector<size_t> cursors(num_lists, 0);
-  std::vector<double> frontiers(num_lists, 0.0);
-  // The entries read this round: every active lane replays them in list
-  // order.
-  std::vector<std::pair<size_t, const ScoredEntry*>> reads;
-  size_t active = states.size();
-  while (active > 0) {
-    reads.clear();
-    for (size_t i = 0; i < num_lists; ++i) {
-      if (cursors[i] >= lists[i]->size()) continue;
-      reads.emplace_back(i, &lists[i]->entry(cursors[i]));
-      ++cursors[i];
-    }
-    if (reads.empty()) break;  // exhausted: epilogue below
-
-    bool frontiers_valid = false;
-    double frontier_sum = 0.0;
-    for (NraState& s : states) {
-      if (!s.active) continue;
-      FaginStats* stats = &s.lane->stats;
-      const size_t k = s.lane->options.k;
-      s.touched.clear();
-      for (const auto& [i, e] : reads) {
-        ++stats->sorted_accesses;
-        if (!IsAllowed(s.lane->allowed, e->pos)) continue;
-        const size_t p = static_cast<size_t>(e->pos);
-        if (s.known_mask[p] == 0) s.seen_positions.push_back(e->pos);
-        s.known_sum[p] += e->value;
-        s.known_mask[p] |= (1ull << i);
-        s.lower_bound[p] = lower_bound_of(s.known_sum[p], s.known_mask[p]);
-        if (s.top_built) s.touched.push_back(e->pos);
-      }
-      ++stats->rounds;
-
-      if (s.seen_positions.size() < k) continue;
-      ++stats->threshold_checks;
-
-      if (!frontiers_valid) {
-        // Frontier bounds depend only on the shared cursors, so one
-        // evaluation per round serves every lane that checks.
-        frontier_sum = 0.0;
-        for (size_t i = 0; i < num_lists; ++i) {
-          frontiers[i] = cursors[i] >= lists[i]->size()
-                             ? 0.0
-                             : std::max(lists[i]->entry(cursors[i]).value, 0.0);
-          frontier_sum += frontiers[i];
-        }
-        frontiers_valid = true;
-      }
-
-      double kth_lower;
-      if (monotone) {
-        if (!s.top_built) {
-          s.lowers.clear();
-          s.lowers.reserve(s.seen_positions.size());
-          for (int32_t pos : s.seen_positions) {
-            s.lowers.emplace_back(s.lower_bound[static_cast<size_t>(pos)], pos);
-          }
-          std::partial_sort(s.lowers.begin(),
-                            s.lowers.begin() + static_cast<long>(k),
-                            s.lowers.end(), lower_cmp);
-          s.top.assign(s.lowers.begin(), s.lowers.begin() + static_cast<long>(k));
-          for (const auto& entry : s.top) {
-            s.in_top[static_cast<size_t>(entry.second)] = 1;
-          }
-          s.top_built = true;
-        } else {
-          for (int32_t pos : s.touched) {
-            const size_t p = static_cast<size_t>(pos);
-            std::pair<double, int32_t> key{s.lower_bound[p], pos};
-            if (s.in_top[p] != 0) {
-              size_t j = 0;
-              while (s.top[j].second != pos) ++j;
-              s.top[j] = key;
-              for (; j > 0 && lower_cmp(s.top[j], s.top[j - 1]); --j) {
-                std::swap(s.top[j], s.top[j - 1]);
-              }
-            } else if (lower_cmp(key, s.top.back())) {
-              s.in_top[static_cast<size_t>(s.top.back().second)] = 0;
-              s.top.back() = key;
-              s.in_top[p] = 1;
-              for (size_t j = s.top.size() - 1;
-                   j > 0 && lower_cmp(s.top[j], s.top[j - 1]); --j) {
-                std::swap(s.top[j], s.top[j - 1]);
-              }
-            }
-          }
-        }
-        kth_lower = s.top.back().first;
-      } else {
-        s.lowers.clear();
-        s.lowers.reserve(s.seen_positions.size());
-        for (int32_t pos : s.seen_positions) {
-          s.lowers.emplace_back(s.lower_bound[static_cast<size_t>(pos)], pos);
-        }
-        std::nth_element(s.lowers.begin(),
-                         s.lowers.begin() + static_cast<long>(k - 1),
-                         s.lowers.end(), lower_cmp);
-        kth_lower = s.lowers[k - 1].first;
-        for (size_t i = 0; i < k; ++i) {
-          s.in_top[static_cast<size_t>(s.lowers[i].second)] = 1;
-        }
-      }
-
-      // Upper bound of any position outside the current top-k, seen or not
-      // (a position never seen may still hold every frontier). The max is
-      // taken over raw sums and divided once: correctly rounded division by
-      // a positive constant is monotone, so it commutes with max.
-      double outside_upper_raw = frontier_sum;
-      for (int32_t pos : s.seen_positions) {
-        const size_t p = static_cast<size_t>(pos);
-        if (s.in_top[p] != 0) continue;
-        double upper = s.known_sum[p];
-        for (size_t i = 0; i < num_lists; ++i) {
-          if ((s.known_mask[p] & (1ull << i)) == 0) upper += frontiers[i];
-        }
-        outside_upper_raw = std::max(outside_upper_raw, upper);
-      }
-      const double outside_upper = outside_upper_raw / denom;
-      if (kth_lower >= outside_upper) {
-        std::vector<ScoredEntry> out;
-        out.reserve(k);
-        for (size_t i = 0; i < k; ++i) {
-          const int32_t pos = monotone ? s.top[i].second : s.lowers[i].second;
-          std::optional<double> agg =
-              memo->Aggregate(pos, s.lane->options.missing, stats);
-          if (agg.has_value()) {
-            ++stats->ids_scored;
-            out.push_back(ScoredEntry{pos, *agg});
-          }
-        }
-        SortResults(&out, s.lane->options.direction);
-        s.lane->entries = std::move(out);
-        s.active = false;
-        --active;
-      } else if (!monotone) {
-        for (size_t i = 0; i < k; ++i) {
-          s.in_top[static_cast<size_t>(s.lowers[i].second)] = 0;
-        }
-      }
-    }
-  }
-
-  // Lists exhausted: every remaining lane's aggregates are fully known.
-  for (NraState& s : states) {
-    if (!s.active) continue;
-    FaginStats* stats = &s.lane->stats;
-    std::vector<ScoredEntry> out;
-    out.reserve(s.seen_positions.size());
-    for (int32_t pos : s.seen_positions) {
-      ++stats->ids_scored;
-      out.push_back(
-          ScoredEntry{pos, s.known_sum[static_cast<size_t>(pos)] / denom});
-    }
-    SortResults(&out, s.lane->options.direction);
-    if (out.size() > s.lane->options.k) out.resize(s.lane->options.k);
-    s.lane->entries = std::move(out);
-  }
-}
-
-// Runs every lane over one group's lists: one pass per (algorithm,
-// direction), in a fixed order. Each lane publishes fagin.<algorithm>.*
-// with the wall time of the pass it ran in (for a single lane, its own
-// latency).
+// Runs every lane over one group's lists: the scan pass, then one TA pass
+// per direction. Each lane publishes fagin.<algorithm>.* with the wall time
+// of the pass it ran in (for a single lane, its own latency).
 void RunLanes(const std::vector<const InvertedIndex*>& lists,
               size_t universe, std::vector<Lane>* lanes,
               BatchExecStats* exec_stats) {
-  enum Pass { kScan, kTaMost, kTaLeast, kFaMost, kFaLeast, kNra, kPasses };
-  static const char* const kSpanNames[kPasses] = {
-      "ScanLanes", "TaLanes", "TaLanes", "FaLanes", "FaLanes", "NraLanes"};
+  enum Pass { kScan, kTaMost, kTaLeast, kPasses };
+  static const char* const kSpanNames[kPasses] = {"ScanLanes", "TaLanes",
+                                                  "TaLanes"};
   std::vector<Lane*> passes[kPasses];
   for (Lane& lane : *lanes) {
     lane.allowed = BuildAllowedBitmap(lane.options.allowed, universe,
                                       &lane.allowed_scratch);
     const bool most = lane.options.direction == RankDirection::kMostUnfair;
-    switch (lane.algorithm) {
-      case TopKAlgorithm::kScan:
-        passes[kScan].push_back(&lane);
-        break;
-      case TopKAlgorithm::kThresholdAlgorithm:
-        passes[most ? kTaMost : kTaLeast].push_back(&lane);
-        break;
-      case TopKAlgorithm::kFA:
-        passes[most ? kFaMost : kFaLeast].push_back(&lane);
-        break;
-      case TopKAlgorithm::kNRA:
-        passes[kNra].push_back(&lane);
-        break;
+    Pass pass = kScan;
+    if (lane.algorithm == TopKAlgorithm::kThresholdAlgorithm) {
+      pass = most ? kTaMost : kTaLeast;
     }
+    passes[pass].push_back(&lane);
   }
   exec_stats->scan_lanes += passes[kScan].size();
   exec_stats->ta_lanes += passes[kTaMost].size() + passes[kTaLeast].size();
-  exec_stats->fa_lanes += passes[kFaMost].size() + passes[kFaLeast].size();
-  exec_stats->nra_lanes += passes[kNra].size();
   if (!passes[kScan].empty()) ++exec_stats->shared_scan_passes;
 
   // Scan lanes never random-access; a scan-only group builds no memo, and
-  // a lone random-access lane gets a pass-through one.
-  const size_t random_access_lanes = lanes->size() - passes[kScan].size();
+  // a lone TA lane gets a pass-through one.
+  const size_t ta_lanes = lanes->size() - passes[kScan].size();
   std::optional<ScoreMemo> memo;
-  if (random_access_lanes > 0) {
-    memo.emplace(lists, universe, random_access_lanes > 1);
-  }
+  if (ta_lanes > 0) memo.emplace(lists, universe, ta_lanes > 1);
   const bool timed = MetricsRegistry::Global().enabled();
   for (int pass = 0; pass < kPasses; ++pass) {
     const std::vector<Lane*>& members = passes[pass];
@@ -765,23 +438,11 @@ void RunLanes(const std::vector<const InvertedIndex*>& lists,
                              : std::chrono::steady_clock::time_point{};
     {
       TraceSpan span(kSpanNames[pass], "fagin");
-      switch (pass) {
-        case kScan:
-          RunScanLanes(lists, universe, members);
-          break;
-        case kTaMost:
-        case kTaLeast:
-          RunTaLanes(lists, universe, members.front()->options.direction,
-                     members, &*memo);
-          break;
-        case kFaMost:
-        case kFaLeast:
-          RunFaLanes(lists, universe, members.front()->options.direction,
-                     members, &*memo);
-          break;
-        case kNra:
-          RunNraLanes(lists, universe, members, &*memo);
-          break;
+      if (pass == kScan) {
+        RunScanLanes(lists, universe, members);
+      } else {
+        RunTaLanes(lists, universe, members.front()->options.direction,
+                   members, &*memo);
       }
     }
     if (!timed) continue;
@@ -815,10 +476,6 @@ const char* TopKAlgorithmName(TopKAlgorithm algorithm) {
   switch (algorithm) {
     case TopKAlgorithm::kThresholdAlgorithm:
       return "TA";
-    case TopKAlgorithm::kFA:
-      return "FA";
-    case TopKAlgorithm::kNRA:
-      return "NRA";
     case TopKAlgorithm::kScan:
       return "scan";
   }
@@ -828,7 +485,7 @@ const char* TopKAlgorithmName(TopKAlgorithm algorithm) {
 Result<std::vector<ScoredEntry>> RunTopK(
     TopKAlgorithm algorithm, const std::vector<const InvertedIndex*>& lists,
     const TopKOptions& options, FaginStats* stats) {
-  FAIRJOB_RETURN_IF_ERROR(ValidateLane(algorithm, lists, options));
+  FAIRJOB_RETURN_IF_ERROR(ValidateLane(lists, options));
   std::vector<Lane> lanes(1);
   lanes[0].algorithm = algorithm;
   lanes[0].options = options;
@@ -915,7 +572,7 @@ std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
                                  ? nullptr
                                  : &request.allowed_targets;
       lane.options.universe_hint = cube.axis_size(request.target);
-      Status valid = ValidateLane(lane.algorithm, lists, lane.options);
+      Status valid = ValidateLane(lists, lane.options);
       if (!valid.ok()) {
         errors[i] = std::move(valid);
         ++exec_stats->invalid;

@@ -22,8 +22,6 @@ struct BatchExecStats {
   size_t lists_demanded = 0;  // lists N per-request runs would have gathered
   size_t scan_lanes = 0;
   size_t ta_lanes = 0;
-  size_t fa_lanes = 0;
-  size_t nra_lanes = 0;
   size_t shared_scan_passes = 0;  // one per group with >= 1 scan lane
 };
 
@@ -42,12 +40,11 @@ struct BatchExecStats {
 //  * scan lanes share ONE unfiltered accumulation pass over all list
 //    entries (a position's sum is independent of every other position, so
 //    lane filters only select which positions are emitted);
-//  * TA / FA lanes of the same direction share the round-robin sorted
-//    access — their cursors advance identically whatever the lane's k,
-//    policy or filter, so each entry is read once per round and delivered
-//    to every active lane;
-//  * NRA lanes share the sorted access and the per-round frontier bounds,
-//    keeping per-lane bound state.
+//  * TA lanes of the same direction share the round-robin sorted access —
+//    their cursors advance identically whatever the lane's k, policy or
+//    filter, so each entry is read once per round and delivered to every
+//    active lane — and every TA lane of the group shares one memo of
+//    random-access aggregates.
 //
 // This is the one Top-K engine: SolveQuantification is a batch of one and
 // RunTopK (core/fagin.h) a single lane over hand-built lists.

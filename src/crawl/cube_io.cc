@@ -932,6 +932,7 @@ class BinaryCubeColumnWriter::Impl {
     column_crcs_.assign(q_size_ * l_size_,
                         Crc32(std::string(8 * g_size_, '\0').data(),
                               8 * g_size_));
+    streamed_ = std::vector<std::atomic<bool>>(q_size_ * l_size_);
     values_offset_ = prefix.size();
     presence_offset_ = values_offset_ + 8 * cells_;
     file_bytes_ = presence_offset_ + 8 * presence_.size();
@@ -968,7 +969,17 @@ class BinaryCubeColumnWriter::Impl {
       return Status::InvalidArgument(
           "streamed column does not match the writer's axes");
     }
-    size_t base = (query_pos * l_size_ + location_pos) * g_size_;
+    // Each column is written once. A repeat would overwrite the values but
+    // OR the presence bits and count the cells again, so it is rejected
+    // before it writes; the flag is atomic because pool threads stream
+    // columns concurrently.
+    const size_t column = query_pos * l_size_ + location_pos;
+    if (streamed_[column].exchange(true, std::memory_order_relaxed)) {
+      return Status::InvalidArgument(
+          "column (" + std::to_string(query_pos) + ", " +
+          std::to_string(location_pos) + ") was already streamed");
+    }
+    const size_t base = column * g_size_;
     std::vector<unsigned char> buf(8 * g_size_);
     size_t present = 0;
     for (size_t g = 0; g < g_size_; ++g) {
@@ -978,8 +989,7 @@ class BinaryCubeColumnWriter::Impl {
     FAIRJOB_RETURN_IF_ERROR(
         WriteAt(buf.data(), buf.size(), values_offset_ + 8 * base));
     // Each column has its own slot, so pool threads never share one.
-    column_crcs_[query_pos * l_size_ + location_pos] =
-        Crc32(buf.data(), buf.size());
+    column_crcs_[column] = Crc32(buf.data(), buf.size());
     {
       std::lock_guard<std::mutex> lock(presence_mutex_);
       for (size_t g = 0; g < g_size_; ++g) {
@@ -1069,6 +1079,7 @@ class BinaryCubeColumnWriter::Impl {
   bool finished_ = false;
   uint32_t prefix_crc_ = 0;  // payload bytes before the first column
   std::vector<uint32_t> column_crcs_;  // per column, in (q·L + l) order
+  std::vector<std::atomic<bool>> streamed_;  // per column: Consume seen
   std::mutex presence_mutex_;
   std::vector<uint64_t> presence_;
   std::atomic<uint64_t> present_count_{0};

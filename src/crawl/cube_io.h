@@ -161,8 +161,9 @@ class MappedCube {
 // to BuildMarketplaceCubeSharded (or a Build*CubeColumns call) when the
 // cube should land on disk instead of in memory. Create sizes the file from the
 // resolved axes (unstreamed columns stay all-missing); Consume accepts
-// columns from any thread in any order (writes to disjoint offsets) and
-// checksums each column as it writes it; Finish seals the file — presence
+// columns from any thread in any order (writes to disjoint offsets), each at
+// most once (a repeat is InvalidArgument and writes nothing), and checksums
+// each column as it writes it; Finish seals the file — presence
 // bitmap, the payload CRC chained from the column checksums (the values
 // are never read back), header — and must be called exactly once before
 // destruction for the file to be readable.

@@ -12,7 +12,7 @@ namespace fairjob {
 class CubeSnapshot;
 
 // Canonical identity of a QuantificationRequest against one specific serving
-// snapshot, used as the answer-cache / single-flight key (docs/serving.md).
+// snapshot, used as the answer-cache / miss-collector key (docs/serving.md).
 //
 // Two requests that provably return the same answers must map to the same
 // key, so the constructor normalizes every selector:

@@ -334,154 +334,59 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
     }
   }
 
-  // Micro-batched execution: park the miss in the window collector instead
-  // of the single-flight layer — the window both coalesces duplicate keys
-  // (same role as a flight) and lets distinct keys share one batched pass.
-  if (options_.batch_window_micros > 0) {
-    return AnswerViaWindow(key, request, snapshot, refreshing, deadline_abs,
-                           admission_on);
-  }
-
-  // Single flight: the first thread to claim `key` computes; every thread
-  // that finds an in-flight future waits on it instead of recomputing.
-  // Keys embed the epoch digest, so requests pinned to different snapshots
-  // with differing read sets never coalesce onto each other's flight.
-  std::shared_ptr<std::promise<FlightOutcome>> promise;
-  std::shared_future<FlightOutcome> flight_future;
-  {
-    std::lock_guard<std::mutex> lock(flights_mutex_);
-    auto it = flights_.find(key);
-    if (it != flights_.end()) {
-      if (options_.max_followers_per_flight > 0 &&
-          it->second.followers->fetch_add(1, std::memory_order_acq_rel) >=
-              options_.max_followers_per_flight) {
-        // Bounded follower queue: refuse to pile a further duplicate onto
-        // this computation. Typed rejection, no miss/coalesce counted.
-        if (admission_on) ReleasePermit();
-        rejected_followers_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().shed_followers->Add(1);
-        return Status::Unavailable("single-flight follower bound reached");
-      }
-      flight_future = it->second.future;
-    } else {
-      promise = std::make_shared<std::promise<FlightOutcome>>();
-      Flight flight;
-      flight.future = promise->get_future().share();
-      flight.followers = std::make_shared<std::atomic<uint32_t>>(0);
-      flight_future = flight.future;
-      flights_.emplace(key, std::move(flight));
-    }
-  }
-
-  if (promise == nullptr) {
-    // Follower: give the compute permit back before blocking — a parked
-    // follower must not starve the computations it is waiting on.
-    if (admission_on) ReleasePermit();
-    admitted_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().admitted->Add(1);
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().coalesced->Add(1);
-    FlightOutcome outcome = flight_future.get();
-    if (!outcome.status.ok()) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().errors->Add(1);
-      return outcome.status;
-    }
-    return *outcome.result;
-  }
-
-  // Leader: compute, publish to cache, resolve the flight, retire it.
-  if (options_.compute_started_hook) options_.compute_started_hook();
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().admitted->Add(1);
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  computations_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().computations->Add(1);
-  FlightOutcome outcome;
-  {
-    TraceSpan compute_span("serve.compute", "serve");
-    Result<QuantificationResult> computed =
-        SolveQuantification(snapshot->cube(), snapshot->indices(), request);
-    if (computed.ok()) {
-      outcome.result = std::make_shared<const QuantificationResult>(
-          std::move(*computed));
-    } else {
-      outcome.status = computed.status();
-    }
-  }
-  if (outcome.status.ok() && options_.cache_capacity > 0) {
-    CachedAnswer entry;
-    entry.result = outcome.result;
-    entry.epoch_digest = key.epoch_digest;
-    entry.inserted_micros =
-        options_.cache_ttl_micros > 0 ? clock_->NowMicros() : now;
-    entry.stale_served = std::make_shared<std::atomic<uint32_t>>(0);
-    cache_.Put(storage_key, std::move(entry));
-    if (refreshing) {
-      stale_refreshes_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().stale_refreshes->Add(1);
-    }
-  }
-  promise->set_value(outcome);
-  {
-    std::lock_guard<std::mutex> lock(flights_mutex_);
-    flights_.erase(key);
-  }
-  if (admission_on) ReleasePermit();
-  if (!outcome.status.ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().errors->Add(1);
-    return outcome.status;
-  }
-  return *outcome.result;
+  return AnswerMiss(key, request, snapshot, refreshing, deadline_abs,
+                    admission_on);
 }
 
-Result<QuantificationResult> QuantificationService::AnswerViaWindow(
+Result<QuantificationResult> QuantificationService::AnswerMiss(
     const RequestCacheKey& key, const QuantificationRequest& request,
     const std::shared_ptr<const CubeSnapshot>& snapshot, bool refreshing,
     int64_t deadline_abs, bool admission_on) {
-  std::shared_future<BatchOutcome> future;
+  std::shared_ptr<BatchEntry> entry;
+  bool joined_computing = false;
   bool leader = false;
-  std::vector<BatchEntry> drained;
+  std::vector<std::shared_ptr<BatchEntry>> drained;
+  int64_t drain_now = 0;
   {
     std::unique_lock<std::mutex> lock(batch_mutex_);
-    auto it = batch_pending_index_.find(key);
-    if (it != batch_pending_index_.end()) {
-      BatchEntry& entry = batch_pending_[it->second];
+    // Keys embed the epoch digest, so requests pinned to different
+    // snapshots with differing read sets never join each other's entry.
+    auto it = unresolved_.find(key);
+    if (it != unresolved_.end()) {
+      entry = it->second;
       if (options_.max_followers_per_flight > 0 &&
-          entry.waiters - 1 >= options_.max_followers_per_flight) {
-        // Same bound as a single-flight follower queue: refuse to pile a
-        // further duplicate onto this window entry.
+          entry->waiters - 1 >= options_.max_followers_per_flight) {
+        // Bounded follower queue: refuse to pile a further duplicate onto
+        // this entry. Typed rejection, no miss/coalesce counted.
         lock.unlock();
         if (admission_on) ReleasePermit();
         rejected_followers_.fetch_add(1, std::memory_order_relaxed);
         Metrics().shed_followers->Add(1);
-        return Status::Unavailable("batch window follower bound reached");
+        return Status::Unavailable("follower bound reached");
       }
-      ++entry.waiters;
-      entry.max_deadline_abs = std::max(entry.max_deadline_abs, deadline_abs);
-      entry.refreshing = entry.refreshing || refreshing;
-      future = entry.future;
+      ++entry->waiters;
+      joined_computing = entry->computing;
+      if (!joined_computing) {
+        entry->max_deadline_abs =
+            std::max(entry->max_deadline_abs, deadline_abs);
+        entry->refreshing = entry->refreshing || refreshing;
+      }
     } else {
-      BatchEntry entry;
-      entry.key = key;
-      entry.request = request;
-      entry.snapshot = snapshot;
-      entry.refreshing = refreshing;
-      entry.max_deadline_abs = deadline_abs;
-      entry.parked_micros = clock_->NowMicros();
-      entry.promise = std::make_shared<std::promise<BatchOutcome>>();
-      entry.future = entry.promise->get_future().share();
-      future = entry.future;
-      batch_pending_index_.emplace(key, batch_pending_.size());
-      batch_pending_.push_back(std::move(entry));
+      entry = std::make_shared<BatchEntry>();
+      entry->key = key;
+      entry->request = request;
+      entry->snapshot = snapshot;
+      entry->refreshing = refreshing;
+      entry->max_deadline_abs = deadline_abs;
+      entry->parked_micros = clock_->NowMicros();
+      entry->future = entry->promise.get_future().share();
+      unresolved_.emplace(key, entry);
+      batch_pending_.push_back(entry);
       // While a leader is active every new entry lands in the list it will
       // drain; otherwise this thread leads the window it just opened.
       if (!batch_leader_active_) {
         batch_leader_active_ = true;
-        batch_window_end_ =
-            clock_->NowMicros() + options_.batch_window_micros;
+        batch_window_end_ = entry->parked_micros + options_.batch_window_micros;
         leader = true;
       }
     }
@@ -494,7 +399,8 @@ Result<QuantificationResult> QuantificationService::AnswerViaWindow(
 
     if (leader) {
       // Lead the window: wait for the size trigger or expiry, polling the
-      // abstract clock (wait_until cannot see a VirtualClock advance).
+      // abstract clock (wait_until cannot see a VirtualClock advance). A
+      // zero window falls straight through with only this entry pending.
       for (;;) {
         if (options_.max_batch_size > 0 &&
             batch_pending_.size() >= options_.max_batch_size) {
@@ -506,48 +412,69 @@ Result<QuantificationResult> QuantificationService::AnswerViaWindow(
             batch_window_end_ - now);
         batch_cv_.wait_for(lock, std::min(remaining, kAdmissionPoll));
       }
+      // Take the window. Entries every waiter of which has already expired
+      // leave unresolved_ now, so no duplicate can join an entry that will
+      // not compute; the rest stay joinable while they compute.
+      drain_now = clock_->NowMicros();
       drained.swap(batch_pending_);
-      batch_pending_index_.clear();
+      for (const std::shared_ptr<BatchEntry>& taken : drained) {
+        taken->computing = true;
+        if (drain_now >= taken->max_deadline_abs) unresolved_.erase(taken->key);
+      }
       batch_leader_active_ = false;
     }
   }
 
   if (leader) {
-    DrainBatchWindow(&drained);
+    DrainBatchWindow(drained, drain_now);
     // The leader held its compute permit through park + drain: with
     // admission on, one window occupies one compute slot end to end.
     if (admission_on) ReleasePermit();
   } else if (admission_on) {
-    // Parked followers give their permit back before blocking, exactly
-    // like single-flight followers — a parked request must not starve the
-    // window leader (or unrelated computations) out of compute slots.
+    // Followers give their permit back before blocking — a waiting request
+    // must not starve the leader (or unrelated computations) out of
+    // compute slots.
     ReleasePermit();
   }
 
-  BatchOutcome outcome = future.get();
-  if (deadline_abs != kNoDeadline && outcome.drained_micros >= deadline_abs) {
-    // The window outlived this request's deadline: shed it with the same
-    // typed error the admission queue uses. Requests that parked and then
-    // shed never count as admitted, keeping the accounting identity exact.
-    shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().shed_deadline->Add(1);
-    batch_window_shed_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().batch_window_shed->Add(1);
-    return Status::DeadlineExceeded("deadline passed in batch window");
+  // Every admitted miss resolves as either the one computation of its
+  // entry or a request coalesced onto it.
+  auto count_admitted_miss = [this](bool computed) {
+    admitted_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().admitted->Add(1);
+    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    if (computed) {
+      computations_.fetch_add(1, std::memory_order_relaxed);
+      Metrics().computations->Add(1);
+    } else {
+      coalesced_.fetch_add(1, std::memory_order_relaxed);
+      Metrics().coalesced->Add(1);
+    }
+  };
+  if (joined_computing) {
+    // Joined after the drain decision: never shed, and always coalesced —
+    // a computed entry has a live parked waiter that claims it. Counted
+    // before blocking, like any follower of a running computation.
+    count_admitted_miss(/*computed=*/false);
   }
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().admitted->Add(1);
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  // Exactly one surviving waiter per computed entry claims the computation
-  // (a computed entry always has one: the drain only runs when the latest
-  // waiter deadline is still live); the rest coalesced onto it.
-  if (!outcome.computation_claimed->exchange(true,
-                                             std::memory_order_acq_rel)) {
-    computations_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().computations->Add(1);
-  } else {
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().coalesced->Add(1);
+  const BatchOutcome& outcome = entry->future.get();
+  if (!joined_computing) {
+    if (deadline_abs != kNoDeadline && outcome.drained_micros >= deadline_abs) {
+      // The window outlived this request's deadline: shed it with the same
+      // typed error the admission queue uses. Requests that parked and
+      // then shed never count as admitted, keeping the accounting identity
+      // exact.
+      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
+      Metrics().shed_deadline->Add(1);
+      batch_window_shed_.fetch_add(1, std::memory_order_relaxed);
+      Metrics().batch_window_shed->Add(1);
+      return Status::DeadlineExceeded("deadline passed in batch window");
+    }
+    // Exactly one surviving parked waiter per computed entry claims the
+    // computation (a computed entry always has one: the drain only computes
+    // when the latest parked deadline is still live).
+    count_admitted_miss(
+        !entry->computation_claimed.exchange(true, std::memory_order_acq_rel));
   }
   if (!outcome.status.ok()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
@@ -557,31 +484,33 @@ Result<QuantificationResult> QuantificationService::AnswerViaWindow(
   return *outcome.result;
 }
 
-void QuantificationService::DrainBatchWindow(std::vector<BatchEntry>* entries) {
-  const int64_t drain_now = clock_->NowMicros();
+void QuantificationService::DrainBatchWindow(
+    const std::vector<std::shared_ptr<BatchEntry>>& entries,
+    int64_t drain_now) {
   batch_windows_.fetch_add(1, std::memory_order_relaxed);
   Metrics().batch_windows->Add(1);
-  Metrics().batch_occupancy->Record(static_cast<double>(entries->size()));
+  Metrics().batch_occupancy->Record(static_cast<double>(entries.size()));
 
   // Resolve entries every waiter of which has already expired without
   // computing them; waiters do their own (exact) per-deadline shed against
   // drained_micros, so an entry computes iff someone can still use it.
   std::vector<BatchEntry*> live;
-  live.reserve(entries->size());
-  for (BatchEntry& entry : *entries) {
+  live.reserve(entries.size());
+  for (const std::shared_ptr<BatchEntry>& entry : entries) {
     Metrics().batch_window_wait_us->Record(
-        static_cast<double>(drain_now - entry.parked_micros));
-    if (entry.max_deadline_abs != kNoDeadline &&
-        drain_now >= entry.max_deadline_abs) {
+        static_cast<double>(drain_now - entry->parked_micros));
+    if (drain_now >= entry->max_deadline_abs) {
       BatchOutcome outcome;
-      outcome.status = Status::DeadlineExceeded("deadline passed in batch window");
+      outcome.status =
+          Status::DeadlineExceeded("deadline passed in batch window");
       outcome.drained_micros = drain_now;
-      outcome.computation_claimed = std::make_shared<std::atomic<bool>>(false);
-      entry.promise->set_value(std::move(outcome));
+      entry->promise.set_value(std::move(outcome));
       continue;
     }
-    live.push_back(&entry);
+    live.push_back(entry.get());
   }
+  if (live.empty()) return;
+  if (options_.compute_started_hook) options_.compute_started_hook();
 
   // Group by pinned snapshot: entries usually share one, but a flip mid-
   // window may split the batch — each request must still see exactly the
@@ -618,7 +547,6 @@ void QuantificationService::DrainBatchWindow(std::vector<BatchEntry>* entries) {
       BatchEntry& entry = *live[i];
       BatchOutcome outcome;
       outcome.drained_micros = drain_now;
-      outcome.computation_claimed = std::make_shared<std::atomic<bool>>(false);
       Result<QuantificationResult>& computed = results[i - start];
       if (computed.ok()) {
         outcome.result = std::make_shared<const QuantificationResult>(
@@ -639,10 +567,15 @@ void QuantificationService::DrainBatchWindow(std::vector<BatchEntry>* entries) {
       } else {
         outcome.status = computed.status();
       }
-      entry.promise->set_value(std::move(outcome));
+      entry.promise.set_value(std::move(outcome));
     }
     start = end;
   }
+
+  // Retire the computed entries: a duplicate arriving from here on misses
+  // the collector and finds the answer in the cache (or computes afresh).
+  std::lock_guard<std::mutex> lock(batch_mutex_);
+  for (const BatchEntry* entry : live) unresolved_.erase(entry->key);
 }
 
 std::vector<Result<QuantificationResult>> QuantificationService::AnswerBatch(

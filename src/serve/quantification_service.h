@@ -27,8 +27,9 @@ namespace fairjob {
 //    incremental upsert invalidates exactly the entries over touched columns
 //    (optionally serving them stale a bounded number of times, see below)
 //    and a rebuild invalidates everything,
-//  * a single-flight layer: concurrent identical requests run
-//    SolveQuantification once and share the result,
+//  * one miss path, a window collector: concurrent identical misses run
+//    once and share the result, and distinct misses parked in the same
+//    window share one SolveQuantificationBatch pass,
 //  * a batch API that deduplicates keys and fans distinct requests out over
 //    ThreadPool::Shared(), and
 //  * optional admission control: a bounded number of concurrent
@@ -50,7 +51,7 @@ class QuantificationService {
  public:
   struct Options {
     // Answer-cache capacity in entries; 0 disables caching entirely
-    // (single-flight still coalesces concurrent duplicates).
+    // (the collector still coalesces concurrent duplicates).
     size_t cache_capacity = 4096;
     size_t cache_shards = 8;
     // Threads used by AnswerBatch for distinct requests (counting the
@@ -63,26 +64,28 @@ class QuantificationService {
     // beyond that requests are rejected immediately with kUnavailable.
     size_t max_inflight = 0;
     size_t max_queue_depth = 0;
-    // Bound on how many followers may coalesce onto one in-flight
-    // computation; further duplicates are rejected with kUnavailable
-    // instead of growing an unbounded wait list. 0 = unbounded.
+    // Bound on how many followers may coalesce onto one unresolved
+    // collector entry (parked or computing); further duplicates are
+    // rejected with kUnavailable instead of growing an unbounded wait
+    // list. 0 = unbounded.
     size_t max_followers_per_flight = 0;
     // Deadline budget (relative, microseconds) applied to requests that do
     // not pass an explicit one. A request whose deadline passes while it is
     // queued for a permit is shed with kDeadlineExceeded. 0 = no deadline.
     int64_t default_deadline_micros = 0;
 
-    // --- Micro-batched execution (0 = feature off, bit-for-bit the
-    // single-flight behavior above). When > 0, admitted cache misses park in
-    // a per-service collector for up to this long; a window leader drains
-    // the collector and answers every distinct key with ONE
-    // SolveQuantificationBatch pass per pinned snapshot, so concurrent
-    // misses that share a selector group share its list scan
-    // (docs/serving.md, "Micro-batched execution"). Deadlines still bound
-    // total park time: a request whose deadline passes before the window
-    // drains is shed with kDeadlineExceeded and never waits for the
-    // computation. Window coalescing replaces the single-flight layer for
-    // misses (duplicate keys join the same batch entry).
+    // --- Miss collector window. Every admitted cache miss parks in a
+    // per-service collector; a window leader drains it and answers every
+    // distinct key with ONE SolveQuantificationBatch pass per pinned
+    // snapshot, so concurrent misses that share a selector group share its
+    // list scan (docs/serving.md, "The miss path"). 0 = drain at once: the
+    // leader drains its own entry with no wait, so distinct misses compute
+    // in parallel. When > 0, the leader waits up to this long for more
+    // misses. Deadlines still bound total park time: a request whose
+    // deadline passes before the window drains is shed with
+    // kDeadlineExceeded and never waits for the computation. A duplicate
+    // key joins the unresolved entry — parked or already computing —
+    // instead of computing again.
     int64_t batch_window_micros = 0;
     // Drain early once this many distinct keys are parked (0 = drain on
     // window expiry only).
@@ -102,8 +105,8 @@ class QuantificationService {
     // pass a VirtualClock to make shedding and expiry deterministic.
     const Clock* clock = nullptr;
 
-    // Test hook, run by the single-flight leader after winning the key and
-    // before computing; lets tests widen the coalescing window
+    // Test hook, run by the drainer after taking a window and before
+    // computing it; lets tests hold an entry in its computing state
     // deterministically. Leave null in production.
     std::function<void()> compute_started_hook;
   };
@@ -124,7 +127,7 @@ class QuantificationService {
     uint64_t batch_requests = 0;  // requests that arrived through AnswerBatch
     uint64_t admitted = 0;        // answered (from cache or by computing)
     uint64_t rejected_queue = 0;  // kUnavailable: admission queue was full
-    uint64_t rejected_followers = 0;  // kUnavailable: flight follower bound
+    uint64_t rejected_followers = 0;  // kUnavailable: follower bound
     uint64_t shed_deadline = 0;   // kDeadlineExceeded: deadline passed
     uint64_t cache_hits = 0;      // fresh + stale serves
     uint64_t cache_misses = 0;
@@ -135,10 +138,10 @@ class QuantificationService {
     uint64_t coalesced = 0;       // requests served by another's computation
     uint64_t errors = 0;          // non-OK answers (excl. typed rejections)
     uint64_t snapshot_flips = 0;  // SetSnapshot/SetBackend publications
-    // Micro-batch window accounting (outside the identities above —
-    // batch_parked requests still resolve as admitted / shed_deadline):
+    // Collector accounting (outside the identities above — batch_parked
+    // requests still resolve as admitted / shed_deadline):
     uint64_t batch_windows = 0;      // collector drains (leader passes)
-    uint64_t batch_parked = 0;       // misses that parked in a window
+    uint64_t batch_parked = 0;       // misses that entered the collector
     uint64_t batch_window_shed = 0;  // subset of shed_deadline: shed at drain
   };
 
@@ -158,7 +161,7 @@ class QuantificationService {
   QuantificationService(const UnfairnessCube* cube, const IndexSet* indices,
                         Options options);
 
-  // Answers one request through cache + single-flight + (if configured)
+  // Answers one request through cache + miss collector + (if configured)
   // admission control. An admitted request has a contract identical to
   // SolveQuantification(snapshot->cube(), snapshot->indices(), request) for
   // the snapshot current at the pin: same answers (bit-equal values), same
@@ -235,20 +238,6 @@ class QuantificationService {
   }
 
  private:
-  // Outcome of one single-flight computation, shared between the leader and
-  // every coalesced follower.
-  struct FlightOutcome {
-    Status status;
-    std::shared_ptr<const QuantificationResult> result;
-  };
-
-  // One in-flight computation: the shared outcome plus the follower count
-  // used to enforce Options::max_followers_per_flight.
-  struct Flight {
-    std::shared_future<FlightOutcome> future;
-    std::shared_ptr<std::atomic<uint32_t>> followers;
-  };
-
   // How a cache probe classified the stored entry against the request's
   // current epoch digest and the TTL.
   enum class Probe {
@@ -260,32 +249,41 @@ class QuantificationService {
     kTtlExpired,    // entry older than cache_ttl_micros: recompute
   };
 
-  // Outcome of one micro-batch window entry, shared between every request
-  // parked on it. `drained_micros` is the drain decision time: each waiter
-  // compares its own absolute deadline against it, so per-request shedding
-  // stays exact even though the computation was shared. The first surviving
-  // waiter to claim `computation_claimed` counts the computation; the rest
-  // count as coalesced — preserving computations + coalesced == misses.
+  // Outcome of one collector entry, shared between every request waiting
+  // on it. `drained_micros` is the drain decision time: each request parked
+  // before the drain compares its own absolute deadline against it, so
+  // per-request shedding stays exact even though the computation was
+  // shared.
   struct BatchOutcome {
     Status status;
     std::shared_ptr<const QuantificationResult> result;
     int64_t drained_micros = 0;
-    std::shared_ptr<std::atomic<bool>> computation_claimed;
   };
 
-  // One distinct key parked in the micro-batch collector. Duplicate keys
-  // join the entry (bounded by max_followers_per_flight, like a flight);
-  // max_deadline_abs tracks the latest waiter deadline so the drain skips
-  // the computation only when every waiter has already expired.
+  // One distinct key in the collector, joinable from when it is parked
+  // until its outcome is set. Duplicate keys join the entry (bounded by
+  // max_followers_per_flight). While it is pending, max_deadline_abs tracks
+  // the latest waiter deadline, so the drain skips the computation only
+  // when every waiter has already expired. Once a drain takes it
+  // (`computing`), joiners only wait: the drain has read its deadline and
+  // refresh state, and a joiner is never shed, since the drain decision
+  // precedes its arrival. The first surviving parked waiter to claim
+  // `computation_claimed` counts the computation; everyone else counts as
+  // coalesced — preserving computations + coalesced == misses. `waiters`
+  // and `computing` live under batch_mutex_; joiners stop writing
+  // `max_deadline_abs` and `refreshing` once `computing` is set, so the
+  // drain reads them without the lock.
   struct BatchEntry {
     RequestCacheKey key;
     QuantificationRequest request;
     std::shared_ptr<const CubeSnapshot> snapshot;
     bool refreshing = false;
+    bool computing = false;
     int64_t max_deadline_abs = 0;
     uint32_t waiters = 1;
     int64_t parked_micros = 0;
-    std::shared_ptr<std::promise<BatchOutcome>> promise;
+    std::atomic<bool> computation_claimed{false};
+    std::promise<BatchOutcome> promise;
     std::shared_future<BatchOutcome> future;
   };
 
@@ -294,17 +292,20 @@ class QuantificationService {
       int64_t deadline_budget_micros,
       const std::shared_ptr<const CubeSnapshot>& snapshot);
 
-  // Miss path when batch_window_micros > 0: park under the collector, lead
+  // The miss path: join the key's unresolved entry or park a new one, lead
   // or wait out the window, and resolve from the shared BatchOutcome.
-  Result<QuantificationResult> AnswerViaWindow(
+  Result<QuantificationResult> AnswerMiss(
       const RequestCacheKey& key, const QuantificationRequest& request,
       const std::shared_ptr<const CubeSnapshot>& snapshot, bool refreshing,
       int64_t deadline_abs, bool admission_on);
 
-  // Leader-side drain: sheds fully-expired entries, groups the rest by
-  // pinned snapshot, answers each group with one SolveQuantificationBatch
-  // pass, publishes to the cache, and resolves every entry's promise.
-  void DrainBatchWindow(std::vector<BatchEntry>* entries);
+  // Leader-side drain of the entries taken at `drain_now`: resolves the
+  // fully-expired ones without computing, groups the rest by pinned
+  // snapshot, answers each group with one SolveQuantificationBatch pass,
+  // publishes to the cache, resolves every entry's promise and retires the
+  // entries from unresolved_.
+  void DrainBatchWindow(const std::vector<std::shared_ptr<BatchEntry>>& entries,
+                        int64_t drain_now);
 
   // Classifies the entry under `storage_key` (epochs zeroed) against
   // `epoch_digest` at time `now`; on kFresh/kStaleServed fills *answer.
@@ -329,18 +330,18 @@ class QuantificationService {
 
   ShardedLruCache<RequestCacheKey, CachedAnswer, RequestCacheKeyHash> cache_;
 
-  std::mutex flights_mutex_;
-  std::unordered_map<RequestCacheKey, Flight, RequestCacheKeyHash> flights_;
-
-  // Micro-batch collector (batch_window_micros > 0 only). Entries parked
-  // under batch_mutex_; at most one window leader is active at a time —
-  // while one is, every new entry lands in the pending list it will drain,
-  // so no entry can be stranded without a drainer.
+  // The miss collector, guarded by batch_mutex_. `unresolved_` holds every
+  // entry from park until its outcome is set — pending or computing — so
+  // duplicates always find it; `batch_pending_` holds the entries the next
+  // drain takes. At most one window leader is active at a time — while one
+  // is, every new entry lands in the pending list it will drain, so no
+  // entry can be stranded without a drainer.
   std::mutex batch_mutex_;
   std::condition_variable batch_cv_;
-  std::vector<BatchEntry> batch_pending_;
-  std::unordered_map<RequestCacheKey, size_t, RequestCacheKeyHash>
-      batch_pending_index_;
+  std::unordered_map<RequestCacheKey, std::shared_ptr<BatchEntry>,
+                     RequestCacheKeyHash>
+      unresolved_;
+  std::vector<std::shared_ptr<BatchEntry>> batch_pending_;
   bool batch_leader_active_ = false;
   int64_t batch_window_end_ = 0;
 

@@ -102,9 +102,8 @@ UnfairnessCube MakeRandomCube(Rng* rng, size_t groups, size_t queries,
 QuantificationRequest MakeRandomRequest(Rng* rng, const UnfairnessCube& cube) {
   static const Dimension kDims[3] = {Dimension::kGroup, Dimension::kQuery,
                                      Dimension::kLocation};
-  static const TopKAlgorithm kAlgs[4] = {
-      TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kFA,
-      TopKAlgorithm::kNRA, TopKAlgorithm::kScan};
+  static const TopKAlgorithm kAlgs[2] = {TopKAlgorithm::kThresholdAlgorithm,
+                                         TopKAlgorithm::kScan};
   QuantificationRequest request;
   request.target = kDims[rng->NextBelow(3)];
   request.k = 1 + rng->NextBelow(6);
@@ -112,7 +111,7 @@ QuantificationRequest MakeRandomRequest(Rng* rng, const UnfairnessCube& cube) {
                                               : RankDirection::kLeastUnfair;
   request.missing = rng->NextBernoulli(0.5) ? MissingCellPolicy::kSkip
                                             : MissingCellPolicy::kZero;
-  request.algorithm = kAlgs[rng->NextBelow(4)];
+  request.algorithm = kAlgs[rng->NextBelow(2)];
 
   Dimension d1;
   Dimension d2;
@@ -158,18 +157,17 @@ TEST(BatchExecTest, SingleRequestEachAlgorithm) {
   UnfairnessCube cube = MakeRandomCube(&rng, 6, 4, 3);
   IndexSet indices = IndexSet::Build(cube);
   for (TopKAlgorithm algorithm :
-       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kFA,
-        TopKAlgorithm::kNRA, TopKAlgorithm::kScan}) {
+       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kScan}) {
     QuantificationRequest request;
     request.target = Dimension::kGroup;
     request.k = 3;
-    request.missing = MissingCellPolicy::kZero;  // NRA-compatible
+    request.missing = MissingCellPolicy::kZero;
     request.algorithm = algorithm;
     ExpectBatchMatchesReference(cube, indices, {request});
   }
 }
 
-// All four algorithms, both directions, kSkip and kZero, with and without
+// Both algorithms, both directions, kSkip and kZero, with and without
 // allowed-target bitmaps, sharing one selector group: the headline shape.
 TEST(BatchExecTest, MixedLanesOneGroupBitwise) {
   Rng rng(13);
@@ -177,8 +175,7 @@ TEST(BatchExecTest, MixedLanesOneGroupBitwise) {
   IndexSet indices = IndexSet::Build(cube);
   std::vector<QuantificationRequest> requests;
   for (TopKAlgorithm algorithm :
-       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kFA,
-        TopKAlgorithm::kNRA, TopKAlgorithm::kScan}) {
+       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kScan}) {
     for (RankDirection direction :
          {RankDirection::kMostUnfair, RankDirection::kLeastUnfair}) {
       for (MissingCellPolicy missing :
@@ -198,17 +195,17 @@ TEST(BatchExecTest, MixedLanesOneGroupBitwise) {
   }
   BatchExecStats stats;
   ExpectBatchMatchesReference(cube, indices, requests, &stats);
-  // One selector group; NRA lanes with kSkip or kLeastUnfair error out.
+  // One selector group, every lane valid.
   EXPECT_EQ(stats.groups, 1u);
-  EXPECT_EQ(stats.invalid, 6u);  // 8 NRA combos - 2 valid
-  EXPECT_EQ(stats.requests, requests.size() - stats.invalid);
+  EXPECT_EQ(stats.invalid, 0u);
+  EXPECT_EQ(stats.requests, requests.size());
   EXPECT_GT(stats.lists_demanded, stats.lists_gathered);
 }
 
 TEST(BatchExecTest, PropertyRandomBatchesBitwise) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(seed);
-    const bool negatives = (seed % 3) == 0;  // exercise NRA's fallback path
+    const bool negatives = (seed % 3) == 0;  // negative cells too
     const double present_p = (seed % 2) == 0 ? 1.0 : 0.8;
     UnfairnessCube cube =
         MakeRandomCube(&rng, 5 + rng.NextBelow(10), 2 + rng.NextBelow(5),
@@ -267,37 +264,11 @@ TEST(BatchExecTest, ValidationErrorsMatchPerRequest) {
   zero_k.k = 0;
   requests.push_back(zero_k);
 
-  QuantificationRequest nra_skip;
-  nra_skip.algorithm = TopKAlgorithm::kNRA;
-  nra_skip.missing = MissingCellPolicy::kSkip;
-  requests.push_back(nra_skip);
-
-  QuantificationRequest nra_least;
-  nra_least.algorithm = TopKAlgorithm::kNRA;
-  nra_least.missing = MissingCellPolicy::kZero;
-  nra_least.direction = RankDirection::kLeastUnfair;
-  requests.push_back(nra_least);
-
   QuantificationRequest good;
   good.k = 2;
   requests.push_back(good);
 
   ExpectBatchMatchesReference(cube, indices, requests);
-}
-
-// NRA rejects more than 64 lists; the batch path must reject identically
-// while other lanes in the same group still compute.
-TEST(BatchExecTest, NraListWidthBoundMatches) {
-  Rng rng(16);
-  UnfairnessCube cube = MakeRandomCube(&rng, 6, 9, 8, /*present_p=*/1.0);
-  IndexSet indices = IndexSet::Build(cube);  // 72 (q,l) lists for kGroup
-  QuantificationRequest nra;
-  nra.target = Dimension::kGroup;
-  nra.missing = MissingCellPolicy::kZero;
-  nra.algorithm = TopKAlgorithm::kNRA;
-  QuantificationRequest scan = nra;
-  scan.algorithm = TopKAlgorithm::kScan;
-  ExpectBatchMatchesReference(cube, indices, {nra, scan});
 }
 
 // k larger than the candidate set: every engine returns everything.
@@ -307,8 +278,7 @@ TEST(BatchExecTest, KLargerThanUniverse) {
   IndexSet indices = IndexSet::Build(cube);
   std::vector<QuantificationRequest> requests;
   for (TopKAlgorithm algorithm :
-       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kFA,
-        TopKAlgorithm::kNRA, TopKAlgorithm::kScan}) {
+       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kScan}) {
     QuantificationRequest request;
     request.k = 100;
     request.missing = MissingCellPolicy::kZero;
@@ -326,8 +296,7 @@ TEST(BatchExecTest, ParallelScoringThresholdBitwise) {
   IndexSet indices = IndexSet::Build(cube);
   std::vector<QuantificationRequest> requests;
   for (TopKAlgorithm algorithm :
-       {TopKAlgorithm::kScan, TopKAlgorithm::kFA,
-        TopKAlgorithm::kThresholdAlgorithm}) {
+       {TopKAlgorithm::kScan, TopKAlgorithm::kThresholdAlgorithm}) {
     QuantificationRequest request;
     request.target = Dimension::kGroup;
     request.k = 7;

@@ -64,6 +64,13 @@ run_case(topk_prints_k_answers 0 "g2 +0.7500\n +g0 +0.5000\n\\[TA:"
          topk --cube ${tiny_cube} --dim group --k 2)
 run_case(topk_bad_algorithm 1 "unknown --algorithm 'bogus'"
          topk --cube ${tiny_cube} --algorithm bogus)
+# TA and the scan are the only Top-K algorithms; the FA and NRA names are
+# rejected with a message naming the two that exist.
+run_case(topk_rejects_fa 1 "unknown --algorithm 'fa' \\(expected ta or scan\\)"
+         topk --cube ${tiny_cube} --algorithm fa)
+run_case(serve_bench_rejects_nra 1
+         "unknown --algorithm 'nra' \\(expected ta or scan\\)"
+         serve-bench --algorithm nra --requests 10)
 run_case(audit_negative_k 1 "--k must be at least 1, got -1"
          audit --crawl missing.csv --workers missing.csv --k -1)
 run_case(audit_search_negative_k 1 "--k must be at least 1, got -1"

@@ -463,6 +463,35 @@ TEST(BinaryCubeIoTest, ColumnWriterSkippedColumnsStayMissing) {
   std::remove(path.c_str());
 }
 
+// A column is streamed once. A repeat is rejected before it writes
+// anything, so the file keeps the first write: a cell undefined the second
+// time must not read back as a present 0.0, and the header's present count
+// must match the bitmap (or the file would not open).
+TEST(BinaryCubeIoTest, ColumnWriterRejectsRepeatedColumn) {
+  std::string path = TempPath("repeated.fjcube");
+  CubeAxes axes;
+  axes.groups = {1, 2};
+  axes.queries = {3, 4};
+  axes.locations = {6};
+  auto writer = BinaryCubeColumnWriter::Create(path, axes);
+  ASSERT_TRUE(writer.ok());
+  std::optional<double> first[2] = {0.25, 0.5};
+  std::optional<double> second[2] = {0.75, std::nullopt};
+  ASSERT_TRUE((*writer)->Consume(1, 0, first, 2).ok());
+  EXPECT_EQ((*writer)->Consume(1, 0, second, 2).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE((*writer)->Consume(0, 0, second, 2).ok());  // others still go
+  ASSERT_TRUE((*writer)->Finish().ok());
+
+  UnfairnessCube restored = *LoadCubeBinary(path);
+  EXPECT_EQ(restored.num_present(), 3u);
+  EXPECT_EQ(restored.Get(0, 1, 0), std::optional<double>(0.25));
+  EXPECT_EQ(restored.Get(1, 1, 0), std::optional<double>(0.5));
+  EXPECT_EQ(restored.Get(0, 0, 0), std::optional<double>(0.75));
+  EXPECT_EQ(restored.Get(1, 0, 0), std::nullopt);
+  std::remove(path.c_str());
+}
+
 // End-to-end scale path in miniature: a sharded marketplace build streamed
 // straight to disk must load back bitwise-equal to the in-memory builder.
 TEST(BinaryCubeIoTest, ShardedBuildToFileMatchesInMemoryBuild) {

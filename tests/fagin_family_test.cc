@@ -18,18 +18,6 @@ std::vector<const InvertedIndex*> Pointers(
   return out;
 }
 
-Result<std::vector<ScoredEntry>> Fa(
-    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
-    FaginStats* stats = nullptr) {
-  return RunTopK(TopKAlgorithm::kFA, lists, options, stats);
-}
-
-Result<std::vector<ScoredEntry>> Nra(
-    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
-    FaginStats* stats = nullptr) {
-  return RunTopK(TopKAlgorithm::kNRA, lists, options, stats);
-}
-
 std::vector<InvertedIndex> RandomLists(size_t universe, size_t num_lists,
                                        double density, Rng* rng) {
   std::vector<InvertedIndex> lists;
@@ -48,110 +36,10 @@ std::vector<InvertedIndex> RandomLists(size_t universe, size_t num_lists,
 
 TEST(TopKAlgorithmTest, NamesAreStable) {
   EXPECT_STREQ(TopKAlgorithmName(TopKAlgorithm::kThresholdAlgorithm), "TA");
-  EXPECT_STREQ(TopKAlgorithmName(TopKAlgorithm::kFA), "FA");
-  EXPECT_STREQ(TopKAlgorithmName(TopKAlgorithm::kNRA), "NRA");
   EXPECT_STREQ(TopKAlgorithmName(TopKAlgorithm::kScan), "scan");
 }
 
-TEST(TopKFATest, ValidatesInput) {
-  InvertedIndex list({{0, 1.0}});
-  TopKOptions options;
-  options.k = 0;
-  EXPECT_FALSE(Fa({&list}, options).ok());
-  options.k = 1;
-  EXPECT_FALSE(Fa({}, options).ok());
-}
-
-TEST(TopKFATest, SimpleTopK) {
-  std::vector<InvertedIndex> lists;
-  lists.emplace_back(std::vector<ScoredEntry>{{0, 0.2}, {1, 0.8}, {2, 0.5}});
-  lists.emplace_back(std::vector<ScoredEntry>{{0, 0.4}, {1, 0.6}, {2, 0.1}});
-  TopKOptions options;
-  options.k = 2;
-  Result<std::vector<ScoredEntry>> top = Fa(Pointers(lists), options);
-  ASSERT_TRUE(top.ok());
-  ASSERT_EQ(top->size(), 2u);
-  EXPECT_EQ((*top)[0].pos, 1);
-  EXPECT_DOUBLE_EQ((*top)[0].value, 0.7);
-  // ids 0 and 2 tie at 0.3; ties break toward the smaller position.
-  EXPECT_EQ((*top)[1].pos, 0);
-  EXPECT_DOUBLE_EQ((*top)[1].value, 0.3);
-}
-
-TEST(TopKFATest, StopsEarlyOnSkewedLists) {
-  std::vector<ScoredEntry> entries;
-  for (int32_t i = 0; i < 500; ++i) entries.push_back({i, 1.0 / (1.0 + i)});
-  std::vector<InvertedIndex> lists;
-  lists.emplace_back(entries);
-  lists.emplace_back(entries);
-  TopKOptions options;
-  options.k = 3;
-  options.missing = MissingCellPolicy::kZero;
-  FaginStats stats;
-  Result<std::vector<ScoredEntry>> top =
-      Fa(Pointers(lists), options, &stats);
-  ASSERT_TRUE(top.ok());
-  // Identical lists: 3 complete ids after 3 rounds.
-  EXPECT_LE(stats.sorted_accesses, 10u);
-  EXPECT_EQ((*top)[0].pos, 0);
-}
-
-TEST(TopKNRATest, RejectsUnsupportedModes) {
-  InvertedIndex list({{0, 1.0}});
-  TopKOptions options;
-  options.k = 1;
-  options.missing = MissingCellPolicy::kSkip;
-  EXPECT_FALSE(Nra({&list}, options).ok());
-  options.missing = MissingCellPolicy::kZero;
-  options.direction = RankDirection::kLeastUnfair;
-  EXPECT_FALSE(Nra({&list}, options).ok());
-}
-
-TEST(TopKNRATest, SimpleTopK) {
-  std::vector<InvertedIndex> lists;
-  lists.emplace_back(std::vector<ScoredEntry>{{0, 0.9}, {1, 0.8}, {2, 0.1}});
-  lists.emplace_back(std::vector<ScoredEntry>{{0, 0.7}, {1, 0.2}, {2, 0.3}});
-  TopKOptions options;
-  options.k = 1;
-  options.missing = MissingCellPolicy::kZero;
-  Result<std::vector<ScoredEntry>> top = Nra(Pointers(lists), options);
-  ASSERT_TRUE(top.ok());
-  ASSERT_EQ(top->size(), 1u);
-  EXPECT_EQ((*top)[0].pos, 0);
-  EXPECT_DOUBLE_EQ((*top)[0].value, 0.8);  // exact aggregate, not a bound
-}
-
-TEST(TopKNRATest, TerminatesEarlyOnSkewedLists) {
-  std::vector<ScoredEntry> entries;
-  for (int32_t i = 0; i < 2000; ++i) entries.push_back({i, 1.0 / (1.0 + i)});
-  std::vector<InvertedIndex> lists;
-  lists.emplace_back(entries);
-  lists.emplace_back(entries);
-  TopKOptions options;
-  options.k = 2;
-  options.missing = MissingCellPolicy::kZero;
-  FaginStats stats;
-  Result<std::vector<ScoredEntry>> top =
-      Nra(Pointers(lists), options, &stats);
-  ASSERT_TRUE(top.ok());
-  EXPECT_LT(stats.sorted_accesses, 100u);
-  EXPECT_EQ((*top)[0].pos, 0);
-  EXPECT_EQ((*top)[1].pos, 1);
-}
-
-TEST(TopKNRATest, RejectsTooManyLists) {
-  std::vector<InvertedIndex> lists;
-  for (int i = 0; i < 65; ++i) {
-    lists.emplace_back(std::vector<ScoredEntry>{{0, 0.5}});
-  }
-  TopKOptions options;
-  options.k = 1;
-  options.missing = MissingCellPolicy::kZero;
-  EXPECT_FALSE(Nra(Pointers(lists), options).ok());
-}
-
-// The whole family must agree with the scan (up to ties) wherever each
-// member's contract applies.
+// TA must return the scan's values, rank by rank, on random lists.
 class FaginFamilyEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int, double>> {};
 
@@ -168,7 +56,7 @@ TEST_P(FaginFamilyEquivalenceTest, AllAlgorithmsMatchScan) {
         RandomLists(universe, num_lists, density, &rng);
     TopKOptions options;
     options.k = 1 + rng.NextBelow(8);
-    options.missing = MissingCellPolicy::kZero;  // NRA's only mode
+    options.missing = MissingCellPolicy::kZero;
 
     Result<std::vector<ScoredEntry>> got =
         RunTopK(algorithm, Pointers(lists), options);
@@ -178,7 +66,7 @@ TEST_P(FaginFamilyEquivalenceTest, AllAlgorithmsMatchScan) {
     ASSERT_TRUE(want.ok());
     ASSERT_EQ(got->size(), want->size()) << "trial " << trial;
     for (size_t i = 0; i < got->size(); ++i) {
-      EXPECT_NEAR((*got)[i].value, (*want)[i].value, 1e-12)
+      EXPECT_EQ((*got)[i].value, (*want)[i].value)
           << TopKAlgorithmName(algorithm) << " trial " << trial << " rank "
           << i;
     }
@@ -187,32 +75,8 @@ TEST_P(FaginFamilyEquivalenceTest, AllAlgorithmsMatchScan) {
 
 INSTANTIATE_TEST_SUITE_P(
     AlgorithmsDensities, FaginFamilyEquivalenceTest,
-    ::testing::Combine(::testing::Values(0, 1, 2),  // TA, FA, NRA
+    ::testing::Combine(::testing::Values(0),  // TA
                        ::testing::Values(1.0, 0.6)));
-
-// FA under kSkip (no early stop) and both directions still matches the scan.
-TEST(TopKFATest, SkipPolicyAndBottomKMatchScan) {
-  Rng rng(4242);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<InvertedIndex> lists = RandomLists(30, 4, 0.5, &rng);
-    for (RankDirection dir :
-         {RankDirection::kMostUnfair, RankDirection::kLeastUnfair}) {
-      TopKOptions options;
-      options.k = 4;
-      options.direction = dir;
-      options.missing = MissingCellPolicy::kSkip;
-      Result<std::vector<ScoredEntry>> fa = Fa(Pointers(lists), options);
-      Result<std::vector<ScoredEntry>> scan =
-          RunTopK(TopKAlgorithm::kScan, Pointers(lists), options);
-      ASSERT_TRUE(fa.ok());
-      ASSERT_TRUE(scan.ok());
-      ASSERT_EQ(fa->size(), scan->size());
-      for (size_t i = 0; i < fa->size(); ++i) {
-        EXPECT_NEAR((*fa)[i].value, (*scan)[i].value, 1e-12);
-      }
-    }
-  }
-}
 
 TEST(FaginFamilyQuantificationTest, RequestDispatchesAlgorithm) {
   UnfairnessCube cube = *UnfairnessCube::Make({0, 1, 2}, {0, 1}, {0});
@@ -223,8 +87,7 @@ TEST(FaginFamilyQuantificationTest, RequestDispatchesAlgorithm) {
   }
   IndexSet indices = IndexSet::Build(cube);
   for (TopKAlgorithm algorithm :
-       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kFA,
-        TopKAlgorithm::kNRA, TopKAlgorithm::kScan}) {
+       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kScan}) {
     QuantificationRequest request;
     request.target = Dimension::kGroup;
     request.k = 2;

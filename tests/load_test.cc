@@ -53,8 +53,7 @@ struct KeySpace {
 KeySpace MakeKeySpace(const UnfairnessCube& cube, const IndexSet& indices) {
   KeySpace space;
   for (TopKAlgorithm algorithm :
-       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kNRA,
-        TopKAlgorithm::kScan}) {
+       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kScan}) {
     for (Dimension target :
          {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
       QuantificationRequest request;
@@ -288,7 +287,7 @@ TEST(AdmissionTest, FollowerBoundRejectsExcessDuplicatesTyped) {
     ASSERT_TRUE(answer.ok());
     EXPECT_TRUE(SameAnswers(*answer, space.expected[0]));
   });
-  started.Wait();  // the flight is claimed and parked: duplicates must queue
+  started.Wait();  // the entry is computing: duplicates must join it
 
   std::atomic<int> ok{0}, unavailable{0}, other{0};
   std::vector<std::thread> duplicates;
@@ -726,8 +725,7 @@ TEST(BatchWindowTest, SharedWindowAnswersLiveRequestAndShedsExpiredOne) {
 }
 
 // Duplicate keys coalesce onto one window entry: one computation, the rest
-// coalesced — the window replaces single-flight for misses with identical
-// accounting.
+// coalesced, with the same accounting as a zero window.
 TEST(BatchWindowTest, DuplicateKeysComputeOnceAndCoalesce) {
   std::unique_ptr<UnfairnessCube> cube = MakeCube(/*seed=*/47);
   IndexSet indices = IndexSet::Build(*cube);
@@ -803,9 +801,10 @@ TEST(BatchWindowTest, SizeCapDrainsWithoutClockAdvance) {
   ExpectExactAccounting(stats);
 }
 
-// batch_window_micros = 0 must be today's behavior bit for bit: no windows,
-// no parking, misses go through single-flight exactly as before.
-TEST(BatchWindowTest, ZeroWindowIsSingleFlightPath) {
+// batch_window_micros = 0 drains each miss at once: every miss opens its
+// own window, so windows and computations match one for one, and answers
+// stay bit-identical to the direct computation.
+TEST(BatchWindowTest, ZeroWindowDrainsEachMissAtOnce) {
   std::unique_ptr<UnfairnessCube> cube = MakeCube(/*seed=*/59);
   IndexSet indices = IndexSet::Build(*cube);
   KeySpace space = MakeKeySpace(*cube, indices);
@@ -818,10 +817,61 @@ TEST(BatchWindowTest, ZeroWindowIsSingleFlightPath) {
     EXPECT_TRUE(SameAnswers(*answer, space.expected[i]));
   }
   QuantificationService::Stats stats = service.stats();
-  EXPECT_EQ(stats.batch_windows, 0u);
-  EXPECT_EQ(stats.batch_parked, 0u);
+  EXPECT_EQ(stats.computations, space.requests.size());
+  EXPECT_EQ(stats.batch_windows, stats.computations);
+  EXPECT_EQ(stats.batch_parked, stats.cache_misses);
   EXPECT_EQ(stats.batch_window_shed, 0u);
   ExpectExactAccounting(stats);
+}
+
+// A duplicate that arrives while its key is computing joins the computing
+// entry instead of computing again — with a zero window and with a real
+// one. The hook holds the drainer between taking the window and computing
+// it; the duplicate is counted as coalesced as soon as it joins, before
+// the computation is released.
+TEST(BatchWindowTest, DuplicateJoinsComputingEntry) {
+  std::unique_ptr<UnfairnessCube> cube = MakeCube(/*seed=*/61);
+  IndexSet indices = IndexSet::Build(*cube);
+  KeySpace space = MakeKeySpace(*cube, indices);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+
+  for (int64_t window : {int64_t{0}, int64_t{1000}}) {
+    SCOPED_TRACE(::testing::Message() << "window=" << window);
+    Gate started, release;
+    QuantificationService::Options options;
+    options.cache_capacity = 0;  // a late duplicate cannot hit the cache
+    options.batch_window_micros = window;
+    options.compute_started_hook = [&] {
+      started.Open();
+      release.Wait();
+    };
+    QuantificationService service(cube.get(), &indices, options);
+
+    auto answer_one = [&] {
+      Result<QuantificationResult> answer = service.Answer(space.requests[0]);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_TRUE(SameAnswers(*answer, space.expected[0]));
+    };
+    std::thread leader(answer_one);
+    started.Wait();  // the window is drained and its entry is computing
+    std::thread duplicate(answer_one);
+    for (int i = 0; i < 5000 && service.stats().coalesced == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(service.stats().coalesced, 1u);  // joined before the release
+    release.Open();
+    leader.join();
+    duplicate.join();
+
+    QuantificationService::Stats stats = service.stats();
+    EXPECT_EQ(stats.requests, 2u);
+    EXPECT_EQ(stats.computations, 1u);
+    EXPECT_EQ(stats.coalesced, 1u);
+    EXPECT_EQ(stats.batch_windows, 1u);
+    EXPECT_EQ(stats.batch_parked, 2u);
+    EXPECT_EQ(stats.shed_deadline, 0u);
+    ExpectExactAccounting(stats);
+  }
 }
 
 // --- Arrival schedule --------------------------------------------------------

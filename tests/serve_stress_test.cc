@@ -1,8 +1,8 @@
 // Concurrency stress for the query-serving layer: many threads hammering a
-// small key space through the sharded cache and single-flight layer. Run
+// small key space through the sharded cache and the miss collector. Run
 // with -DFAIRJOB_SANITIZE=thread in CI; the assertions here are about
 // torn results (answers must stay bit-equal to precomputed direct solves),
-// exact stats accounting, and single-flight coalescing.
+// exact stats accounting, and coalescing of concurrent duplicate misses.
 
 #include "serve/quantification_service.h"
 
@@ -48,8 +48,7 @@ struct KeySpace {
 KeySpace MakeKeySpace(const UnfairnessCube& cube, const IndexSet& indices) {
   KeySpace space;
   for (TopKAlgorithm algorithm :
-       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kFA,
-        TopKAlgorithm::kNRA, TopKAlgorithm::kScan}) {
+       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kScan}) {
     for (Dimension target :
          {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
       QuantificationRequest request;
@@ -85,7 +84,7 @@ TEST(ServeStressTest, ManyThreadsSmallKeySpaceNoTornResults) {
   ASSERT_FALSE(::testing::Test::HasFailure());
 
   // Capacity below the key space (12 keys, 6 entries over 2 shards) so the
-  // cache churns: hits, misses, evictions and flights all happen at once.
+  // cache churns: hits, misses, evictions and coalescing all happen at once.
   QuantificationService::Options options;
   options.cache_capacity = 6;
   options.cache_shards = 2;
@@ -132,9 +131,9 @@ TEST(ServeStressTest, SingleFlightCoalescesConcurrentIdenticalRequests) {
   KeySpace space = MakeKeySpace(*cube, indices);
   ASSERT_FALSE(::testing::Test::HasFailure());
 
-  // Cache off: without single-flight every request would recompute. The
-  // hook widens the window deterministically — the leader sleeps after
-  // claiming the flight, so the other threads must find it in flight.
+  // Cache off: without coalescing every request would recompute. The hook
+  // widens the window deterministically — the drainer sleeps after taking
+  // the entry, so the other threads must find it computing and join it.
   QuantificationService::Options options;
   options.cache_capacity = 0;
   options.compute_started_hook = [] {
@@ -161,7 +160,7 @@ TEST(ServeStressTest, SingleFlightCoalescesConcurrentIdenticalRequests) {
 
   QuantificationService::Stats stats = service.stats();
   EXPECT_EQ(stats.requests, kThreads);
-  // The single-flight layer must have coalesced at least some of the burst:
+  // The collector must have coalesced at least some of the burst:
   // strictly fewer computations than requests, and every request accounted
   // for as either a leader or a follower.
   EXPECT_LT(stats.computations, stats.requests);

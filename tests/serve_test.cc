@@ -37,21 +37,15 @@ std::unique_ptr<UnfairnessCube> MakeCube(uint64_t seed) {
 }
 
 // Every algorithm × target × direction × k, plus selector variants
-// (subsets, duplicates, allowed-target filters). NRA only supports
-// most-unfair with zeroed missing cells, so the whole mix uses kZero.
+// (subsets, duplicates, allowed-target filters), with zeroed missing cells.
 std::vector<QuantificationRequest> RequestSpace() {
   std::vector<QuantificationRequest> space;
   for (TopKAlgorithm algorithm :
-       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kFA,
-        TopKAlgorithm::kNRA, TopKAlgorithm::kScan}) {
+       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kScan}) {
     for (Dimension target :
          {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
       for (RankDirection direction :
            {RankDirection::kMostUnfair, RankDirection::kLeastUnfair}) {
-        if (algorithm == TopKAlgorithm::kNRA &&
-            direction == RankDirection::kLeastUnfair) {
-          continue;
-        }
         for (size_t k : {1u, 3u, 100u}) {  // 100 > axis size: full ranking
           QuantificationRequest request;
           request.target = target;

@@ -7,7 +7,6 @@
 // by the differential tests and bench_fagin_perf --oracle_compare.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -75,21 +74,16 @@ inline uint64_t BitsOf(double d) {
 // True when `got` is a valid answer given the oracle's `want`: the same
 // length and bit-equal values rank by rank, and the same positions except
 // where the value equals the k-th value (a tie at the cut may let the engine
-// keep a different, equally good position). `exact_values = false` accepts
-// values within 1e-12 relative, for NRA, whose answers after exhausting the
-// lists are sums in sorted-access order rather than list order.
+// keep a different, equally good position).
 inline bool Agrees(const std::vector<ScoredEntry>& got,
-                   const std::vector<ScoredEntry>& want,
-                   bool exact_values = true) {
+                   const std::vector<ScoredEntry>& want) {
   if (got.size() != want.size()) return false;
   for (size_t i = 0; i < want.size(); ++i) {
-    const double tolerance = 1e-12 * std::max(1.0, std::abs(want[i].value));
-    const bool value_ok =
-        exact_values ? BitsOf(got[i].value) == BitsOf(want[i].value)
-                     : std::abs(got[i].value - want[i].value) <= tolerance;
-    const bool tied_at_cut = std::abs(want[i].value - want.back().value) <=
-                             (exact_values ? 0.0 : tolerance);
-    if (!value_ok || (!tied_at_cut && got[i].pos != want[i].pos)) return false;
+    const bool tied_at_cut = want[i].value == want.back().value;
+    if (BitsOf(got[i].value) != BitsOf(want[i].value) ||
+        (!tied_at_cut && got[i].pos != want[i].pos)) {
+      return false;
+    }
   }
   return true;
 }

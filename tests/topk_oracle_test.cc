@@ -50,9 +50,8 @@ UnfairnessCube MakeRandomCube(Rng& rng, size_t groups, size_t queries,
 }
 
 // Runs one configuration through the engine and checks it against the
-// oracle: NRA rejects exactly kSkip, kLeastUnfair and more than 64 lists,
-// every other run succeeds with the oracle's answer (see
-// topk_oracle::Agrees for ties and NRA's value tolerance).
+// oracle: every run succeeds with the oracle's answer, values bit for bit
+// (see topk_oracle::Agrees for ties at the cut).
 void ExpectMatchesOracle(TopKAlgorithm algorithm,
                          const std::vector<const InvertedIndex*>& lists,
                          const TopKOptions& options) {
@@ -64,16 +63,10 @@ void ExpectMatchesOracle(TopKAlgorithm algorithm,
                << " allowed=" << (options.allowed != nullptr));
 
   Result<std::vector<ScoredEntry>> got = RunTopK(algorithm, lists, options);
-  const bool nra = algorithm == TopKAlgorithm::kNRA;
-  const bool rejected =
-      nra && (options.missing == MissingCellPolicy::kSkip ||
-              options.direction == RankDirection::kLeastUnfair ||
-              lists.size() > 64);
-  ASSERT_EQ(got.ok(), !rejected) << got.status().message();
-  if (rejected) return;
+  ASSERT_TRUE(got.ok()) << got.status().message();
 
   std::vector<ScoredEntry> want = topk_oracle::TopK(lists, options);
-  const bool agrees = topk_oracle::Agrees(*got, want, /*exact_values=*/!nra);
+  const bool agrees = topk_oracle::Agrees(*got, want);
   EXPECT_TRUE(agrees);
   if (!agrees) {
     for (size_t i = 0; i < std::max(got->size(), want.size()); ++i) {
@@ -86,17 +79,15 @@ void ExpectMatchesOracle(TopKAlgorithm algorithm,
   }
 }
 
-constexpr TopKAlgorithm kAlgorithms[] = {
-    TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kFA,
-    TopKAlgorithm::kNRA, TopKAlgorithm::kScan};
+constexpr TopKAlgorithm kAlgorithms[] = {TopKAlgorithm::kThresholdAlgorithm,
+                                         TopKAlgorithm::kScan};
 constexpr RankDirection kDirections[] = {RankDirection::kMostUnfair,
                                          RankDirection::kLeastUnfair};
 constexpr MissingCellPolicy kPolicies[] = {MissingCellPolicy::kSkip,
                                            MissingCellPolicy::kZero};
 
 // Every algorithm × direction × policy × allowed variant for the given
-// lists. NRA rejects kSkip and kLeastUnfair; those configurations still run
-// to assert the rejection.
+// lists.
 void RunFullGrid(const std::vector<const InvertedIndex*>& lists,
                  size_t universe, const std::vector<int32_t>& allowed,
                  size_t k) {
@@ -274,10 +265,10 @@ TEST(FaginDenseDifferential, ParallelScoringPathMatchesReference) {
   RunFullGrid(lists, kUniverse, allowed, 10);
 }
 
-// Negative list values disable NRA's monotone incremental top-k bookkeeping
-// (lower bounds may decrease); the per-check selection fallback must still
-// find the oracle's answer.
-TEST(FaginDenseDifferential, NegativeValuesTakeNraFallbackPath) {
+// Negative list values: TA's kZero bound clamps each frontier at 0, and the
+// kSkip bound takes the raw frontier; both must still find the oracle's
+// answer.
+TEST(FaginDenseDifferential, NegativeValuesMatchOracle) {
   Rng rng(17);
   constexpr size_t kUniverse = 64;
   std::vector<InvertedIndex> store;
@@ -294,15 +285,10 @@ TEST(FaginDenseDifferential, NegativeValuesTakeNraFallbackPath) {
   std::vector<const InvertedIndex*> lists;
   for (const InvertedIndex& list : store) lists.push_back(&list);
 
-  for (size_t k : {size_t{1}, size_t{5}, size_t{20}}) {
-    TopKOptions options;
-    options.k = k;
-    options.missing = MissingCellPolicy::kZero;
-    options.universe_hint = kUniverse;
-    ExpectMatchesOracle(TopKAlgorithm::kNRA, lists, options);
-  }
   std::vector<int32_t> allowed = {1, 7, 9, 30, 55};
-  RunFullGrid(lists, kUniverse, allowed, 5);
+  for (size_t k : {size_t{1}, size_t{5}, size_t{20}}) {
+    RunFullGrid(lists, kUniverse, allowed, k);
+  }
 }
 
 // Invalid requests are rejected with InvalidArgument and the documented
@@ -331,26 +317,6 @@ TEST(FaginDenseDifferential, ErrorCasesMatchReference) {
     expect_rejected(RunTopK(algorithm, null_list, defaults),
                     "null inverted list");
   }
-
-  // NRA restrictions, checked in this order: kSkip, kLeastUnfair, width.
-  TopKOptions nra;
-  nra.missing = MissingCellPolicy::kSkip;
-  nra.direction = RankDirection::kLeastUnfair;
-  expect_rejected(
-      RunTopK(TopKAlgorithm::kNRA, one, nra),
-      "NRA bounds require MissingCellPolicy::kZero (the average over "
-      "present lists is not monotone in the unknown entries)");
-  nra.missing = MissingCellPolicy::kZero;
-  expect_rejected(
-      RunTopK(TopKAlgorithm::kNRA, one, nra),
-      "NRA supports kMostUnfair only; use TA or the scan for bottom-k");
-  std::vector<const InvertedIndex*> many(65, &list);
-  nra.direction = RankDirection::kMostUnfair;
-  expect_rejected(RunTopK(TopKAlgorithm::kNRA, many, nra),
-                  "NRA supports at most 64 lists");
-  EXPECT_TRUE(RunTopK(TopKAlgorithm::kNRA, {many.begin(), many.begin() + 64},
-                      nra)
-                  .ok());
 }
 
 // Empty lists (a cube column with no present cells) must be handled, not
@@ -387,11 +353,8 @@ struct Digest {
   uint64_t answers = fnv::kOffset;
 };
 
-// NRA runs over lists holding a negative value are kept apart: their
-// lower bounds count each unknown entry at the list's negative tail.
 struct GridDigests {
   Digest main;
-  Digest nra_negative;
   size_t runs = 0;
 };
 
@@ -433,20 +396,12 @@ std::vector<InvertedIndex> GridLists(Rng& rng, size_t universe,
 void DigestListSet(const std::vector<InvertedIndex>& store, size_t universe,
                    GridDigests* d) {
   std::vector<const InvertedIndex*> lists;
-  bool negative = false;
-  for (const InvertedIndex& list : store) {
-    lists.push_back(&list);
-    for (size_t i = 0; i < list.size(); ++i) {
-      negative = negative || list.entry(i).value < 0.0;
-    }
-  }
+  for (const InvertedIndex& list : store) lists.push_back(&list);
   std::vector<int32_t> allowed;
   for (size_t pos = 0; pos < universe; pos += 3) {
     allowed.push_back(static_cast<int32_t>(pos));
   }
-  for (TopKAlgorithm algorithm :
-       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kFA,
-        TopKAlgorithm::kNRA, TopKAlgorithm::kScan}) {
+  for (TopKAlgorithm algorithm : kAlgorithms) {
     for (RankDirection direction :
          {RankDirection::kMostUnfair, RankDirection::kLeastUnfair}) {
       for (MissingCellPolicy missing :
@@ -462,16 +417,15 @@ void DigestListSet(const std::vector<InvertedIndex>& store, size_t universe,
             FaginStats stats;
             Result<std::vector<ScoredEntry>> top =
                 RunTopK(algorithm, lists, options, &stats);
-            Digest* digest = negative && algorithm == TopKAlgorithm::kNRA
-                                 ? &d->nra_negative
-                                 : &d->main;
             ++d->runs;
-            MixStats(digest, stats);
+            MixStats(&d->main, stats);
             if (!top.ok()) {
-              MixStatus(digest, top.status());
+              MixStatus(&d->main, top.status());
               continue;
             }
-            for (const ScoredEntry& e : *top) MixAnswer(digest, e.pos, e.value);
+            for (const ScoredEntry& e : *top) {
+              MixAnswer(&d->main, e.pos, e.value);
+            }
           }
         }
       }
@@ -523,7 +477,11 @@ GridDigests DigestGrid() {
                                                : RankDirection::kLeastUnfair;
     request.missing = rng.NextBernoulli(0.5) ? MissingCellPolicy::kSkip
                                              : MissingCellPolicy::kZero;
-    request.algorithm = static_cast<TopKAlgorithm>(rng.NextBelow(4));
+    // Four-way draw, so the random stream is the one the grid had when it
+    // also drew FA (now TA) and NRA (now the scan).
+    request.algorithm = rng.NextBelow(4) < 2
+                            ? TopKAlgorithm::kThresholdAlgorithm
+                            : TopKAlgorithm::kScan;
     Dimension d1;
     Dimension d2;
     QuantificationOtherDims(request.target, &d1, &d2);
@@ -554,19 +512,16 @@ GridDigests DigestGrid() {
 }
 
 // FaginStats semantics are part of the engine's contract (the paper's
-// access-count metrics). The main digests were computed from the grid above
-// by the per-request engines the lanes replaced, so any change to how a lane
-// counts, or to what it returns, shows here. The NRA-over-negative-values
-// digests pin the corrected lower bounds (the old engines counted unknown
-// entries as 0 there and could return a wrong top-k; see
-// NegativeValuesTakeNraFallbackPath).
+// access-count metrics). The digests were computed from the grid above by
+// the engine that still had the FA and NRA lanes (their draws mapped onto
+// TA and the scan as above), so they show that deleting those lanes moved
+// no TA or scan count or answer; any change to how a lane counts, or to
+// what it returns, shows here.
 TEST(TopKStatsDigestTest, GridDigestsArePinned) {
   GridDigests d = DigestGrid();
-  EXPECT_EQ(d.runs, 1324u);
-  EXPECT_EQ(d.main.stats, 0x7507af8c6ecc6422ull);
-  EXPECT_EQ(d.main.answers, 0x7ff6ac1f6d9e4737ull);
-  EXPECT_EQ(d.nra_negative.stats, 0x35678fc8c5b287cdull);
-  EXPECT_EQ(d.nra_negative.answers, 0x45e517ae49e0553dull);
+  EXPECT_EQ(d.runs, 812u);
+  EXPECT_EQ(d.main.stats, 0xc46d573c3f1d2539ull);
+  EXPECT_EQ(d.main.answers, 0x34b9f3d0aee38cfdull);
 }
 
 }  // namespace

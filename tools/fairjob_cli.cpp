@@ -3,7 +3,7 @@
 //   fairjob_cli audit   --crawl crawl.csv --workers workers.csv
 //                       [--measure emd|exposure] [--out cube.csv]
 //   fairjob_cli topk    --cube cube.csv --dim group|query|location
-//                       [--k 5] [--least] [--algorithm ta|fa|nra|scan]
+//                       [--k 5] [--least] [--algorithm ta|scan]
 //   fairjob_cli explain --crawl crawl.csv --workers workers.csv
 //                       --group "<display name>" --query <q> --location <l>
 //                       [--measure emd|exposure]
@@ -48,9 +48,9 @@ int Usage(FILE* out, int code) {
       "          [--out cube.csv] [--report audit.md] [--k 5]\n"
       "          [--max-conjunction N]\n"
       "  topk    --cube <csv> --dim group|query|location [--k 5] [--least]\n"
-      "          [--algorithm ta|fa|nra|scan]\n"
+      "          [--algorithm ta|scan]\n"
       "  serve-bench  [--cube <csv>] [--requests 2000] [--keyspace 24]\n"
-      "          [--algorithm mix|ta|fa|nra|scan] [--batch 0]\n"
+      "          [--algorithm mix|ta|scan] [--batch 0]\n"
       "          [--cache-capacity 4096] [--cache-shards 8]\n"
       "          [--workers 400] [--cities 6] [--seed 7]\n"
       "  audit-search --runs <csv> --users <csv>\n"
@@ -85,10 +85,9 @@ Result<size_t> TopKFromFlags(const Flags& flags) {
 
 Result<TopKAlgorithm> AlgorithmFromName(const std::string& name) {
   if (name == "ta") return TopKAlgorithm::kThresholdAlgorithm;
-  if (name == "fa") return TopKAlgorithm::kFA;
-  if (name == "nra") return TopKAlgorithm::kNRA;
   if (name == "scan") return TopKAlgorithm::kScan;
-  return Status::InvalidArgument("unknown --algorithm '" + name + "'");
+  return Status::InvalidArgument("unknown --algorithm '" + name +
+                                 "' (expected ta or scan)");
 }
 
 // Rejects flags the command does not understand (a typo'd flag silently
@@ -268,10 +267,6 @@ int RunTopKCommand(const Flags& flags) {
   request.direction = flags.Has("least") ? RankDirection::kLeastUnfair
                                          : RankDirection::kMostUnfair;
   request.algorithm = *algorithm;
-  // NRA only supports kZero; keep the CLI ergonomic.
-  if (*algorithm == TopKAlgorithm::kNRA) {
-    request.missing = MissingCellPolicy::kZero;
-  }
   Result<QuantificationResult> result =
       SolveQuantification(*cube, indices, request);
   if (!result.ok()) return Fail(result.status());
@@ -527,8 +522,7 @@ int RunServeBench(const Flags& flags) {
   std::string algorithm_name = flags.GetString("algorithm", "mix");
   std::vector<TopKAlgorithm> algorithms;
   if (algorithm_name == "mix") {
-    algorithms = {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kFA,
-                  TopKAlgorithm::kNRA, TopKAlgorithm::kScan};
+    algorithms = {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kScan};
   } else {
     Result<TopKAlgorithm> algorithm = AlgorithmFromName(algorithm_name);
     if (!algorithm.ok()) return Fail(algorithm.status());
@@ -566,25 +560,15 @@ int RunServeBench(const Flags& flags) {
   std::vector<QuantificationRequest> request_space;
   for (Dimension target :
        {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
-    size_t aggregated_lists = cube->num_cells() / cube->axis_size(target);
     for (RankDirection direction :
          {RankDirection::kMostUnfair, RankDirection::kLeastUnfair}) {
       for (size_t k : {3u, 5u, 10u}) {
         for (TopKAlgorithm algorithm : algorithms) {
-          // NRA's bounds only work top-down with zeroed missing cells, over
-          // at most 64 aggregated lists.
-          if (algorithm == TopKAlgorithm::kNRA &&
-              (direction == RankDirection::kLeastUnfair ||
-               aggregated_lists > 64)) {
-            continue;
-          }
           QuantificationRequest request;
           request.target = target;
           request.k = k;
           request.direction = direction;
           request.algorithm = algorithm;
-          // kZero keeps NRA eligible, so "mix" compares all four members.
-          request.missing = MissingCellPolicy::kZero;
           request_space.push_back(request);
         }
       }
